@@ -74,6 +74,7 @@ from .mc import (
     McEstimate,
     LinkingReport,
     derive_seed,
+    fdp_values,
     estimate_fdr,
     estimate_fdx,
     estimate_fdp_moment,

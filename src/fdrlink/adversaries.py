@@ -17,20 +17,21 @@ Completed studies use a canonical layout: nulls first (input order), then the
 planted zeros, then the ones. Every statistic of interest is invariant to
 permuting hypotheses, so the layout is a convention only.
 
-Rank selection is performed in exact rational arithmetic (see
-``procedures.min_rejections_for``), with ties resolved toward the largest
-rank.
+Ranks come from one kernel, :func:`anchor_choice`: a float argmax of
+``j / ceil(n * p_(j) / alpha)`` (ceilings floored at 1), refined in exact
+rational arithmetic only among float-tied candidates, ties to the largest
+rank. Each adversary spec owns its planted-zero count (``plant``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .procedures import min_rejections_for
+from .procedures import snap_ceil_array
 from .study import PValueStudy, RejectionOutcome
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "FixedZerosAdversary",
     "AdversarySpec",
     "CompletedStudy",
+    "anchor_choice",
     "max_fdp_rank",
     "feasible_max_fdp_rank",
     "informed_adversary",
@@ -52,14 +54,49 @@ __all__ = [
 MASKED_STRATEGIES = ("plug_in_second", "shifted_argmax")
 
 
+def anchor_choice(nulls_sorted: np.ndarray, n: int, alpha: float,
+                  n1: Optional[int] = None, first_rank: int = 1) -> tuple[int, int]:
+    """``(rank, ceiling)`` maximizing ``rank / ceiling`` over ascending nulls,
+    where ``ceiling = max(ceil(n * p / alpha), 1)`` and the first null has
+    rank `first_rank`; ties resolve to the largest rank.
+
+    With `n1` given, only ranks whose zero count ``ceiling - rank`` fits in
+    `n1` compete, and ``(0, 0)`` means none does. Zero p-values are accepted
+    (their ceiling is 1); callers validate their own inputs.
+    """
+    ceils = np.maximum(snap_ceil_array(n * nulls_sorted / alpha), 1.0)
+    ranks = np.arange(first_rank, first_rank + nulls_sorted.size, dtype=float)
+    if n1 is not None:
+        feasible = np.nonzero(ceils - ranks <= n1)[0]
+        if feasible.size == 0:
+            return 0, 0
+        ranks, ceils = ranks[feasible], ceils[feasible]
+    ratios = ranks / ceils
+    candidates = np.nonzero(ratios >= ratios.max() * (1.0 - 1e-12))[0].tolist()
+    # The float ratios are within an ulp of the exact ones, so the exact
+    # maximum is always a candidate; only a float tie pays for Fractions.
+    pos = candidates[0] if len(candidates) == 1 else max(
+        reversed(candidates), key=lambda i: Fraction(int(ranks[i]), int(ceils[i])))
+    return int(ranks[pos]), int(ceils[pos])
+
+
 @dataclass(frozen=True)
 class InformedAdversary:
     """Sees all null p-values; plants zeros to reach the FDP ceiling."""
+
+    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> tuple[int, dict]:
+        """Zero count for ascending nulls, and the CompletedStudy fields it sets."""
+        rank, ceiling = anchor_choice(nulls_sorted, n, alpha)
+        return min(max(ceiling - rank, 0), n1), {"anchor_rank": rank}
 
 
 @dataclass(frozen=True)
 class MostAntiConservativeAdversary:
     """Plants exactly the zeros the most anti-conservative outcome rejects."""
+
+    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> tuple[int, dict]:
+        rank, ceiling = anchor_choice(nulls_sorted, n, alpha, n1)
+        return max(ceiling - rank, 0), {"anchor_rank": rank}
 
 
 @dataclass(frozen=True)
@@ -75,6 +112,20 @@ class BonferroniMaskedAdversary:
                 f"choose from {MASKED_STRATEGIES}"
             )
 
+    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> tuple[int, dict]:
+        if nulls_sorted.size < 2:
+            raise ValueError("masked construction needs at least two nulls")
+        zeros = self.zeros_from_upper(nulls_sorted[1:], n1, n, alpha)
+        return zeros, {"masked_zero_count": zeros}
+
+    def zeros_from_upper(self, upper: np.ndarray, n1: int, n: int, alpha: float) -> int:
+        """Zero count from the ascending nulls of ranks 2..n0."""
+        if self.strategy == "plug_in_second":
+            rank, ceiling = anchor_choice(np.concatenate([upper[:1], upper]), n, alpha)
+        else:
+            rank, ceiling = anchor_choice(upper, n, alpha, first_rank=2)
+        return min(max(ceiling - rank, 0), n1)
+
 
 @dataclass(frozen=True)
 class FixedZerosAdversary:
@@ -85,6 +136,12 @@ class FixedZerosAdversary:
     def __post_init__(self) -> None:
         if int(self.zeros) < 0:
             raise ValueError("zero count must be nonnegative")
+
+    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> tuple[int, dict]:
+        zeros = int(self.zeros)
+        if zeros > n1:
+            raise ValueError(f"cannot plant {zeros} zeros in {n1} non-null slots")
+        return zeros, {}
 
 
 AdversarySpec = Union[
@@ -120,16 +177,11 @@ def _checked_nulls(null_pvalues) -> np.ndarray:
     return arr
 
 
-def _ratio_argmax(ranks: Sequence[int], ceilings: Sequence[int]) -> int:
-    """Position of the largest ``rank / ceiling`` ratio; ties -> largest rank."""
-    best_pos = 0
-    best = Fraction(ranks[0], ceilings[0])
-    for pos in range(1, len(ranks)):
-        ratio = Fraction(ranks[pos], ceilings[pos])
-        if ratio >= best:
-            best = ratio
-            best_pos = pos
-    return best_pos
+def _checked_split(null_pvalues, n1: int, n: int) -> tuple[np.ndarray, int, int]:
+    arr = _checked_nulls(null_pvalues)
+    if arr.size + int(n1) != int(n):
+        raise ValueError(f"n0 + n1 must equal n, got {arr.size} + {n1} != {n}")
+    return arr, int(n1), int(n)
 
 
 def max_fdp_rank(null_pvalues, n: int, alpha: float) -> int:
@@ -137,11 +189,7 @@ def max_fdp_rank(null_pvalues, n: int, alpha: float) -> int:
 
     Returns a 1-based rank; ties resolve to the largest rank.
     """
-    arr = _checked_nulls(null_pvalues)
-    sorted_p = np.sort(arr)
-    ceilings = [min_rejections_for(float(p), n, alpha) for p in sorted_p]
-    ranks = list(range(1, arr.size + 1))
-    return ranks[_ratio_argmax(ranks, ceilings)]
+    return anchor_choice(np.sort(_checked_nulls(null_pvalues)), int(n), alpha)[0]
 
 
 def feasible_max_fdp_rank(null_pvalues, n1: int, n: int, alpha: float) -> int:
@@ -150,45 +198,14 @@ def feasible_max_fdp_rank(null_pvalues, n1: int, n: int, alpha: float) -> int:
 
     Returns 0 when no rank is feasible.
     """
-    arr = _checked_nulls(null_pvalues)
-    n1 = int(n1)
-    sorted_p = np.sort(arr)
-    ranks, ceilings = [], []
-    for j, p in enumerate(sorted_p, start=1):
-        c = min_rejections_for(float(p), n, alpha)
-        if c - j <= n1:
-            ranks.append(j)
-            ceilings.append(c)
-    if not ranks:
-        return 0
-    return ranks[_ratio_argmax(ranks, ceilings)]
-
-
-def _assemble(null_pvalues: np.ndarray, zeros: int, ones: int) -> PValueStudy:
-    n0 = null_pvalues.size
-    pvalues = np.concatenate([null_pvalues, np.zeros(zeros), np.ones(ones)])
-    mask = np.zeros(n0 + zeros + ones, dtype=bool)
-    mask[:n0] = True
-    return PValueStudy(pvalues, mask)
+    return anchor_choice(np.sort(_checked_nulls(null_pvalues)), int(n), alpha, int(n1))[0]
 
 
 def informed_adversary(null_pvalues, n1: int, n: int, alpha: float) -> CompletedStudy:
     """Complete a study by planting ``min((ceil(n p_(j*)/alpha) - j*)_+, n1)``
     zeros at the anchor rank ``j*`` from :func:`max_fdp_rank`, with remaining
     non-nulls set to one."""
-    arr = _checked_nulls(null_pvalues)
-    n0, n1 = arr.size, int(n1)
-    if n0 + n1 != int(n):
-        raise ValueError(f"n0 + n1 must equal n, got {n0} + {n1} != {n}")
-    rank = max_fdp_rank(arr, n, alpha)
-    sorted_p = np.sort(arr)
-    needed = min_rejections_for(float(sorted_p[rank - 1]), n, alpha) - rank
-    zeros = min(max(needed, 0), n1)
-    return CompletedStudy(
-        study=_assemble(arr, zeros, n1 - zeros),
-        planted_zeros=zeros,
-        anchor_rank=rank,
-    )
+    return complete_study(null_pvalues, n1, n, alpha, InformedAdversary())
 
 
 def most_anti_conservative(null_pvalues, n1: int, n: int, alpha: float) -> RejectionOutcome:
@@ -200,17 +217,10 @@ def most_anti_conservative(null_pvalues, n1: int, n: int, alpha: float) -> Rejec
     layout (both :func:`informed_adversary` and the most-anti-conservative
     completion place at least the required zeros right after the nulls).
     """
-    arr = _checked_nulls(null_pvalues)
-    n0, n1 = arr.size, int(n1)
-    if n0 + n1 != int(n):
-        raise ValueError(f"n0 + n1 must equal n, got {n0} + {n1} != {n}")
-    rank = feasible_max_fdp_rank(arr, n1, n, alpha)
-    if rank == 0:
-        return RejectionOutcome.empty()
-    sorted_p = np.sort(arr)
-    needed = max(min_rejections_for(float(sorted_p[rank - 1]), n, alpha) - rank, 0)
-    null_order = np.argsort(arr, kind="stable")
-    rejected = list(null_order[:rank]) + list(range(n0, n0 + needed))
+    arr, n1, n = _checked_split(null_pvalues, n1, n)
+    zeros, fields = MostAntiConservativeAdversary().plant(np.sort(arr), n1, n, alpha)
+    rank = fields["anchor_rank"]
+    rejected = [*np.argsort(arr, kind="stable")[:rank], *range(arr.size, arr.size + zeros)]
     return RejectionOutcome(rejected, n_false=rank)
 
 
@@ -228,68 +238,17 @@ def masked_zero_count(upper_sorted_nulls, n: int, n1: int, alpha: float,
 
     The result is clamped to [0, n1].
     """
-    if strategy not in MASKED_STRATEGIES:
-        raise ValueError(f"unknown masked strategy {strategy!r}")
+    adversary = BonferroniMaskedAdversary(strategy)
     arr = _checked_nulls(upper_sorted_nulls)
     if np.any(np.diff(arr) < 0.0):
         raise ValueError("upper null p-values must be sorted ascending")
-    n, n1 = int(n), int(n1)
-
-    if strategy == "plug_in_second":
-        pseudo = np.concatenate([arr[:1], arr])
-        rank = max_fdp_rank(pseudo, n, alpha)
-        needed = min_rejections_for(float(np.sort(pseudo)[rank - 1]), n, alpha) - rank
-        return min(max(needed, 0), n1)
-
-    ranks = list(range(2, arr.size + 2))
-    ceilings = [min_rejections_for(float(p), n, alpha) for p in arr]
-    pos = _ratio_argmax(ranks, ceilings)
-    needed = ceilings[pos] - ranks[pos]
-    return min(max(needed, 0), n1)
+    return adversary.zeros_from_upper(arr, int(n1), int(n), alpha)
 
 
 def complete_study(null_pvalues, n1: int, n: int, alpha: float,
                    adversary: AdversarySpec) -> CompletedStudy:
     """Apply an adversary description to the given nulls."""
-    arr = _checked_nulls(null_pvalues)
-    n0, n1 = arr.size, int(n1)
-    if n0 + n1 != int(n):
-        raise ValueError(f"n0 + n1 must equal n, got {n0} + {n1} != {n}")
-
-    if isinstance(adversary, InformedAdversary):
-        return informed_adversary(arr, n1, n, alpha)
-
-    if isinstance(adversary, MostAntiConservativeAdversary):
-        rank = feasible_max_fdp_rank(arr, n1, n, alpha)
-        if rank == 0:
-            zeros = 0
-        else:
-            sorted_p = np.sort(arr)
-            zeros = max(min_rejections_for(float(sorted_p[rank - 1]), n, alpha) - rank, 0)
-        return CompletedStudy(
-            study=_assemble(arr, zeros, n1 - zeros),
-            planted_zeros=zeros,
-            anchor_rank=rank,
-        )
-
-    if isinstance(adversary, BonferroniMaskedAdversary):
-        if n0 < 2:
-            raise ValueError("masked construction needs at least two nulls")
-        sorted_p = np.sort(arr)
-        t = masked_zero_count(sorted_p[1:], n, n1, alpha, adversary.strategy)
-        return CompletedStudy(
-            study=_assemble(arr, t, n1 - t),
-            planted_zeros=t,
-            masked_zero_count=t,
-        )
-
-    if isinstance(adversary, FixedZerosAdversary):
-        zeros = int(adversary.zeros)
-        if zeros > n1:
-            raise ValueError(f"cannot plant {zeros} zeros in {n1} non-null slots")
-        return CompletedStudy(
-            study=_assemble(arr, zeros, n1 - zeros),
-            planted_zeros=zeros,
-        )
-
-    raise TypeError(f"unknown adversary spec: {adversary!r}")
+    arr, n1, n = _checked_split(null_pvalues, n1, n)
+    zeros, fields = adversary.plant(np.sort(arr), n1, n, alpha)
+    pvalues = np.concatenate([arr, np.zeros(zeros), np.ones(n1 - zeros)])
+    return CompletedStudy(PValueStudy(pvalues, np.arange(n) < arr.size), zeros, **fields)

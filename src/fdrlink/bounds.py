@@ -115,10 +115,6 @@ class EmpiricalCurve:
         arr.setflags(write=False)
         object.__setattr__(self, "knots", arr)
 
-    @classmethod
-    def from_samples(cls, samples) -> "EmpiricalCurve":
-        return cls(samples)
-
     def value(self, x: float) -> float:
         return float(np.searchsorted(self.knots, x, side="right")) / self.knots.size
 

@@ -77,6 +77,17 @@ def _pvalues_from_z(z: np.ndarray, sided: str) -> np.ndarray:
     return 2.0 * ndtr(-np.abs(z))
 
 
+def _equicorrelate(z: np.ndarray, rho: float) -> np.ndarray:
+    """Map iid standard normals to rho-equicorrelated ones along the last
+    axis (each row an independent group) with the closed-form root in O(n)."""
+    size = z.shape[-1]
+    if rho == 0.0 or size == 1:
+        return z
+    a = math.sqrt(max(1.0 - rho, 0.0))
+    b = math.sqrt(max(1.0 + (size - 1) * rho, 0.0))
+    return a * z + (b - a) * z.mean(axis=-1, keepdims=True)
+
+
 @dataclass(frozen=True)
 class IidUniform:
     """All p-values iid Uniform(0, 1); the first `n0` are the nulls."""
@@ -91,6 +102,18 @@ class IidUniform:
     @property
     def n(self) -> int:
         return self.n0 + self.n1
+
+    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """One study as raw arrays ``(pvalues, null_mask)``."""
+        return rng.random(self.n), np.arange(self.n) < self.n0
+
+    def draw_nulls(self, rng: np.random.Generator) -> np.ndarray:
+        """Only the null p-values (their marginal joint law)."""
+        return rng.random(self.n0)
+
+    def nulls_only(self) -> "IidUniform":
+        """The generator of the null components alone."""
+        return IidUniform(self.n0, 0)
 
 
 @dataclass(frozen=True)
@@ -123,6 +146,18 @@ class EquicorrelatedNormal:
     @property
     def n(self) -> int:
         return self.n0 + self.n1
+
+    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        nulls = self.draw_nulls(rng)
+        alt = _pvalues_from_z(self.mu_alt + rng.standard_normal(self.n1), self.sided)
+        return np.concatenate([nulls, alt]), np.arange(self.n) < self.n0
+
+    def draw_nulls(self, rng: np.random.Generator) -> np.ndarray:
+        return _pvalues_from_z(_equicorrelate(rng.standard_normal(self.n0), self.rho),
+                               self.sided)
+
+    def nulls_only(self) -> "EquicorrelatedNormal":
+        return EquicorrelatedNormal(self.n0, 0, self.rho, self.sided, self.mu_alt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,6 +214,18 @@ class PrdnGaussian:
     def n1(self) -> int:
         return self.n - self.n0
 
+    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        z = self.mu + self._sqrt @ rng.standard_normal(self.n)
+        return _pvalues_from_z(z, self.sided), np.isin(np.arange(self.n), self.null_idx)
+
+    def draw_nulls(self, rng: np.random.Generator) -> np.ndarray:
+        return _pvalues_from_z(self._null_sqrt @ rng.standard_normal(self.n0), self.sided)
+
+    def nulls_only(self) -> "PrdnGaussian":
+        idx = list(self.null_idx)
+        return PrdnGaussian(self.sigma[np.ix_(idx, idx)], tuple(range(len(idx))), None,
+                            self.sided)
+
 
 @dataclass(frozen=True, eq=False)
 class BlockDependent:
@@ -189,6 +236,10 @@ class BlockDependent:
     uses a `rho_w`-equicorrelated Gaussian inside each block, with non-null
     members shifted by `mu_alt` before the one- or two-sided transform
     (identical blocks carry no shift).
+
+    A draw takes every block's randomness from one generator call, in block
+    order, which reproduces a draw block by block: one uniform per block, or
+    one normal per member. A null draw skips the blocks without nulls.
     """
 
     block_sizes: tuple[int, ...]
@@ -197,6 +248,8 @@ class BlockDependent:
     null_mask: Optional[np.ndarray] = None
     mu_alt: float = 2.0
     sided: str = "one"
+    _groups: tuple = field(init=False, repr=False)
+    _held: Optional["BlockDependent"] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         sizes = tuple(int(b) for b in self.block_sizes)
@@ -218,6 +271,18 @@ class BlockDependent:
         if mask.shape != (n,):
             raise ValueError("null mask must match the total block length")
         object.__setattr__(self, "null_mask", _readonly(mask))
+        # One (blocks, size) position matrix per block size above 1, and the
+        # spec of the blocks that hold a null (None if none does): its draw,
+        # restricted to its nulls, is this spec's null draw.
+        size_arr = np.array(sizes)
+        starts = np.cumsum(size_arr) - size_arr
+        object.__setattr__(self, "_groups", tuple(
+            starts[size_arr == size][:, None] + np.arange(size)
+            for size in np.unique(size_arr[size_arr > 1])))
+        held = np.logical_or.reduceat(mask, starts)
+        object.__setattr__(self, "_held", self if held.all() else None if not held.any() else
+                           BlockDependent(tuple(size_arr[held].tolist()), self.within, self.rho_w,
+                                          mask[np.repeat(held, size_arr)], self.mu_alt, self.sided))
 
     @property
     def n(self) -> int:
@@ -231,9 +296,30 @@ class BlockDependent:
     def n1(self) -> int:
         return self.n - self.n0
 
-    @property
-    def max_block(self) -> int:
-        return max(self.block_sizes)
+    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        if self.within == "identical":
+            p = np.repeat(rng.random(len(self.block_sizes)), self.block_sizes)
+        else:
+            z = rng.standard_normal(self.n)
+            for idx in self._groups:
+                z[idx] = _equicorrelate(z[idx], self.rho_w)
+            p = _pvalues_from_z(z + np.where(self.null_mask, 0.0, self.mu_alt), self.sided)
+        return p, self.null_mask.copy()
+
+    def draw_nulls(self, rng: np.random.Generator) -> np.ndarray:
+        """The nulls of a full draw of the blocks that hold one."""
+        if self._held is None:
+            raise ValueError("generator has no null components")
+        p, mask = self._held.draw(rng)
+        return p[mask]
+
+    def nulls_only(self) -> "BlockDependent":
+        if self._held is None:
+            raise ValueError("generator has no null components")
+        held = self._held
+        counts = np.add.reduceat(held.null_mask, np.cumsum(held.block_sizes) - held.block_sizes)
+        return BlockDependent(tuple(counts.tolist()), self.within, self.rho_w, None,
+                              self.mu_alt, self.sided)
 
 
 @dataclass(frozen=True)
@@ -253,6 +339,16 @@ class TwoSidedWrap:
     @property
     def n1(self) -> int:
         return self.inner.n1
+
+    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        p, mask = self.inner.draw(rng)
+        return two_sided_from_one_sided(p), mask
+
+    def draw_nulls(self, rng: np.random.Generator) -> np.ndarray:
+        return two_sided_from_one_sided(self.inner.draw_nulls(rng))
+
+    def nulls_only(self) -> "TwoSidedWrap":
+        return TwoSidedWrap(self.inner.nulls_only())
 
 
 GeneratorSpec = Union[IidUniform, EquicorrelatedNormal, PrdnGaussian,
@@ -286,130 +382,24 @@ def equicorrelated_sqrt(n: int, rho: float) -> np.ndarray:
     return mat
 
 
-def _equicorrelated_draw(rng: np.random.Generator, n: int, rho: float) -> np.ndarray:
-    """O(n) draw from N(0, equicorrelation(rho)) using the closed-form root."""
-    z = rng.standard_normal(n)
-    if rho == 0.0 or n == 1:
-        return z
-    a = math.sqrt(max(1.0 - rho, 0.0))
-    b = math.sqrt(max(1.0 + (n - 1) * rho, 0.0))
-    return a * z + (b - a) * z.mean()
-
-
 def sample_arrays(spec: GeneratorSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw one study as raw arrays ``(pvalues, null_mask)``."""
-    if isinstance(spec, IidUniform):
-        p = rng.random(spec.n)
-        mask = np.zeros(spec.n, dtype=bool)
-        mask[: spec.n0] = True
-        return p, mask
-
-    if isinstance(spec, EquicorrelatedNormal):
-        z_null = _equicorrelated_draw(rng, spec.n0, spec.rho)
-        z_alt = spec.mu_alt + rng.standard_normal(spec.n1) if spec.n1 else np.empty(0)
-        p = np.concatenate([_pvalues_from_z(z_null, spec.sided),
-                            _pvalues_from_z(z_alt, spec.sided)])
-        mask = np.zeros(spec.n, dtype=bool)
-        mask[: spec.n0] = True
-        return p, mask
-
-    if isinstance(spec, PrdnGaussian):
-        z = spec.mu + spec._sqrt @ rng.standard_normal(spec.n)
-        mask = np.zeros(spec.n, dtype=bool)
-        mask[list(spec.null_idx)] = True
-        return _pvalues_from_z(z, spec.sided), mask
-
-    if isinstance(spec, BlockDependent):
-        p = np.empty(spec.n)
-        start = 0
-        for size in spec.block_sizes:
-            stop = start + size
-            if spec.within == "identical":
-                p[start:stop] = rng.random()
-            else:
-                z = _equicorrelated_draw(rng, size, spec.rho_w)
-                shift = np.where(spec.null_mask[start:stop], 0.0, spec.mu_alt)
-                p[start:stop] = _pvalues_from_z(z + shift, spec.sided)
-            start = stop
-        return p, spec.null_mask.copy()
-
-    if isinstance(spec, TwoSidedWrap):
-        p, mask = sample_arrays(spec.inner, rng)
-        return two_sided_from_one_sided(p), mask
-
-    raise TypeError(f"unknown generator spec: {spec!r}")
+    return spec.draw(rng)
 
 
 def sample_null_pvalues(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
     """Draw only the null p-values of `spec` (their marginal joint law)."""
-    if isinstance(spec, IidUniform):
-        return rng.random(spec.n0)
-
-    if isinstance(spec, EquicorrelatedNormal):
-        return _pvalues_from_z(_equicorrelated_draw(rng, spec.n0, spec.rho), spec.sided)
-
-    if isinstance(spec, PrdnGaussian):
-        z = spec._null_sqrt @ rng.standard_normal(spec.n0)
-        return _pvalues_from_z(z, spec.sided)
-
-    if isinstance(spec, BlockDependent):
-        out = []
-        start = 0
-        for size in spec.block_sizes:
-            stop = start + size
-            inside = spec.null_mask[start:stop]
-            k = int(np.count_nonzero(inside))
-            if k:
-                if spec.within == "identical":
-                    out.append(np.full(k, rng.random()))
-                else:
-                    z = _equicorrelated_draw(rng, size, spec.rho_w)
-                    out.append(_pvalues_from_z(z[inside], spec.sided))
-            start = stop
-        if not out:
-            raise ValueError("generator has no null components")
-        return np.concatenate(out)
-
-    if isinstance(spec, TwoSidedWrap):
-        return two_sided_from_one_sided(sample_null_pvalues(spec.inner, rng))
-
-    raise TypeError(f"unknown generator spec: {spec!r}")
+    return spec.draw_nulls(rng)
 
 
 def sample(spec: GeneratorSpec, seed: int) -> PValueStudy:
     """Draw one study; deterministic given ``(spec, seed)``."""
-    rng = np.random.default_rng(int(seed) & _SEED_MASK)
-    p, mask = sample_arrays(spec, rng)
-    return PValueStudy(p, mask)
+    return PValueStudy(*spec.draw(np.random.default_rng(int(seed) & _SEED_MASK)))
 
 
 def restrict_to_nulls(spec: GeneratorSpec) -> GeneratorSpec:
     """The generator of the null components alone (a global-null spec)."""
-    if isinstance(spec, IidUniform):
-        return IidUniform(spec.n0, 0)
-    if isinstance(spec, EquicorrelatedNormal):
-        return EquicorrelatedNormal(spec.n0, 0, spec.rho, spec.sided, spec.mu_alt)
-    if isinstance(spec, PrdnGaussian):
-        idx = list(spec.null_idx)
-        return PrdnGaussian(spec.sigma[np.ix_(idx, idx)],
-                            tuple(range(len(idx))), None, spec.sided)
-    if isinstance(spec, BlockDependent):
-        sizes, keep = [], np.zeros(spec.n, dtype=bool)
-        start = 0
-        for size in spec.block_sizes:
-            stop = start + size
-            k = int(np.count_nonzero(spec.null_mask[start:stop]))
-            if k:
-                sizes.append(k)
-                keep[start:stop] = spec.null_mask[start:stop]
-            start = stop
-        if not sizes:
-            raise ValueError("generator has no null components")
-        return BlockDependent(tuple(sizes), spec.within, spec.rho_w,
-                              None, spec.mu_alt, spec.sided)
-    if isinstance(spec, TwoSidedWrap):
-        return TwoSidedWrap(restrict_to_nulls(spec.inner))
-    raise TypeError(f"unknown generator spec: {spec!r}")
+    return spec.nulls_only()
 
 
 def two_sided_from_one_sided(p):

@@ -307,6 +307,8 @@ class ExperimentConfig:
                 raise ConfigError(f"gamma grid values must lie in (0, 1), got {g}")
         if int(self.reps) < 1:
             raise ConfigError("reps must be >= 1")
+        if self.workers is not None and (type(self.workers) is not int or self.workers < 1):
+            raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
 
     def mc(self) -> McConfig:
         return McConfig(reps=int(self.reps), master_seed=int(self.master_seed),
@@ -325,7 +327,10 @@ def load_config(source, *, env: Optional[Mapping[str, str]] = None,
     if isinstance(source, Mapping):
         doc = dict(source)
     else:
-        text = Path(source).read_text() if Path(str(source)).exists() else str(source)
+        text = str(source)
+        # A config document is a JSON object; never probe the filesystem with one.
+        if not text.lstrip().startswith("{") and Path(text).exists():
+            text = Path(text).read_text()
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

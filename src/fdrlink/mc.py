@@ -13,7 +13,10 @@ worker processes.
 
 Per-replication pipeline for FDR-type targets: sample the nulls, apply the
 adversary (or keep the generated non-nulls when no adversary is given), run
-the procedure, record the false discovery proportion.
+the procedure, record the false discovery proportion. An adversary-completed
+study is [zeros, sorted nulls, ones] in sorted order, so the step count runs
+on the sorted nulls with the planted zeros as a rank offset. Rank, zero
+count, step count and Simes value come from ``adversaries`` and ``procedures``.
 """
 
 from __future__ import annotations
@@ -21,21 +24,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .adversaries import (
-    AdversarySpec,
-    BonferroniMaskedAdversary,
-    FixedZerosAdversary,
-    InformedAdversary,
-    MostAntiConservativeAdversary,
-)
+from .adversaries import (AdversarySpec, InformedAdversary, MostAntiConservativeAdversary,
+                          anchor_choice)
 from .bounds import EmpiricalCurve, fdr_link_bound
 from .dependence import GeneratorSpec, restrict_to_nulls, sample_arrays, sample_null_pvalues
-from .procedures import snap_ceil_array
+from .procedures import simes_sorted, snap_ceil_array, step_count
 
 __all__ = [
     "McConfig",
@@ -43,6 +40,7 @@ __all__ = [
     "LinkingReport",
     "PROCEDURES",
     "derive_seed",
+    "fdp_values",
     "estimate_fdr",
     "estimate_fdx",
     "estimate_fdp_moment",
@@ -92,6 +90,16 @@ class McEstimate:
     master_seed: int
     stderr_degenerate: bool = False
 
+    @classmethod
+    def from_values(cls, values: np.ndarray, cfg: "McConfig") -> "McEstimate":
+        """Mean and standard error of per-replication values (``math.fsum``)."""
+        reps = int(values.size)
+        mean = math.fsum(values.tolist()) / reps
+        if reps == 1:
+            return cls(mean, 0.0, reps, cfg.master_seed, stderr_degenerate=True)
+        var = math.fsum(((v - mean) ** 2 for v in values.tolist())) / (reps - 1)
+        return cls(mean, math.sqrt(var / reps), reps, cfg.master_seed)
+
 
 @dataclass(frozen=True)
 class LinkingReport:
@@ -102,138 +110,6 @@ class LinkingReport:
     slack: float
 
 
-def _estimate_from_values(values: np.ndarray, cfg: McConfig) -> McEstimate:
-    reps = int(values.size)
-    mean = math.fsum(values.tolist()) / reps
-    if reps == 1:
-        return McEstimate(mean, 0.0, reps, cfg.master_seed, stderr_degenerate=True)
-    var = math.fsum(((v - mean) ** 2 for v in values.tolist())) / (reps - 1)
-    return McEstimate(mean, math.sqrt(var / reps), reps, cfg.master_seed)
-
-
-# ---------------------------------------------------------------------------
-# Fast per-replication kernels.
-#
-# Adversary-completed studies always look like [zeros, sorted nulls, ones] in
-# sorted order, so the procedures run on that summary without materializing
-# the full vector. The kernels are cross-checked against the reference
-# procedures in the test suite.
-# ---------------------------------------------------------------------------
-
-
-def _exact_refine(ranks: np.ndarray, ceils: np.ndarray, candidates: np.ndarray) -> int:
-    """Largest-rank exact argmax among float-tied candidate positions."""
-    best_pos = int(candidates[0])
-    best = Fraction(int(ranks[best_pos]), int(ceils[best_pos]))
-    for pos in candidates[1:]:
-        pos = int(pos)
-        ratio = Fraction(int(ranks[pos]), int(ceils[pos]))
-        if ratio >= best:
-            best = ratio
-            best_pos = pos
-    return best_pos
-
-
-def _argmax_rank(ranks: np.ndarray, ceils: np.ndarray) -> int:
-    """Position maximizing ranks/ceils with exact largest-rank tie-breaking."""
-    ratios = ranks / ceils
-    best = ratios.max()
-    candidates = np.nonzero(ratios >= best * (1.0 - 1e-12))[0]
-    if candidates.size == 1:
-        return int(candidates[0])
-    return _exact_refine(ranks, ceils, candidates)
-
-
-def _anchor_choice(nulls_sorted: np.ndarray, n: int, alpha: float,
-                   n1: Optional[int]) -> tuple[int, int]:
-    """(rank, ceiling) of the FDP-maximizing rank; feasibility-restricted when
-    `n1` is given. Returns (0, 0) when no rank is feasible."""
-    n0 = nulls_sorted.size
-    ceils = snap_ceil_array(n * nulls_sorted / alpha)
-    ranks = np.arange(1, n0 + 1, dtype=float)
-    if n1 is not None:
-        feasible = np.nonzero(ceils - ranks <= n1)[0]
-        if feasible.size == 0:
-            return 0, 0
-        pos = feasible[_argmax_rank(ranks[feasible], ceils[feasible])]
-    else:
-        pos = _argmax_rank(ranks, ceils)
-    return int(pos) + 1, int(ceils[int(pos)])
-
-
-def _planted_zeros(adv: AdversarySpec, nulls_sorted: np.ndarray, n1: int, n: int,
-                   alpha: float) -> int:
-    """Zero count an adversary plants, given the sorted nulls."""
-    if isinstance(adv, FixedZerosAdversary):
-        if adv.zeros > n1:
-            raise ValueError(f"cannot plant {adv.zeros} zeros in {n1} non-null slots")
-        return int(adv.zeros)
-
-    if isinstance(adv, InformedAdversary):
-        rank, ceiling = _anchor_choice(nulls_sorted, n, alpha, None)
-        return min(max(ceiling - rank, 0), n1)
-
-    if isinstance(adv, MostAntiConservativeAdversary):
-        rank, ceiling = _anchor_choice(nulls_sorted, n, alpha, n1)
-        return max(ceiling - rank, 0) if rank else 0
-
-    if isinstance(adv, BonferroniMaskedAdversary):
-        upper = nulls_sorted[1:]
-        if upper.size == 0:
-            raise ValueError("masked construction needs at least two nulls")
-        if adv.strategy == "plug_in_second":
-            pseudo = np.concatenate([upper[:1], upper])
-            rank, ceiling = _anchor_choice(pseudo, n, alpha, None)
-            return min(max(ceiling - rank, 0), n1)
-        ranks = np.arange(2, upper.size + 2, dtype=float)
-        ceils = snap_ceil_array(n * upper / alpha)
-        pos = _argmax_rank(ranks, ceils)
-        return min(max(int(ceils[pos]) - (pos + 2), 0), n1)
-
-    raise TypeError(f"unknown adversary spec: {adv!r}")
-
-
-def _completed_counts(nulls_sorted: np.ndarray, zeros: int, n: int, alpha: float,
-                      proc: str) -> tuple[int, int]:
-    """(V, R) for a step procedure on the completed study
-    [zeros, sorted nulls, ones] without building the full vector."""
-    n0 = nulls_sorted.size
-    positions = zeros + 1 + np.arange(n0)
-    ok = nulls_sorted <= alpha * positions / n
-    if proc == "step_up":
-        passing = np.nonzero(ok)[0]
-        r = zeros + int(passing[-1]) + 1 if passing.size else zeros
-    elif proc == "step_down":
-        r = zeros + n0 if ok.all() else zeros + int(np.argmin(ok))
-    else:
-        raise ValueError(f"unknown procedure {proc!r}")
-    return max(r - zeros, 0), r
-
-
-def _generic_counts(pvalues: np.ndarray, null_mask: np.ndarray, alpha: float,
-                    proc: str) -> tuple[int, int]:
-    """(V, R) for a step procedure on an arbitrary study."""
-    n = pvalues.size
-    order = np.argsort(pvalues, kind="stable")
-    sorted_p = pvalues[order]
-    ok = sorted_p <= alpha * np.arange(1, n + 1) / n
-    if proc == "step_up":
-        passing = np.nonzero(ok)[0]
-        if passing.size == 0:
-            return 0, 0
-        r = int(passing[-1]) + 1
-        cutoff = alpha * r / n
-        v = int(np.count_nonzero(pvalues[null_mask] <= cutoff))
-        return v, r
-    if proc == "step_down":
-        if not ok[0]:
-            return 0, 0
-        r = n if ok.all() else int(np.argmin(ok))
-        v = int(np.count_nonzero(null_mask[order[:r]]))
-        return v, r
-    raise ValueError(f"unknown procedure {proc!r}")
-
-
 @dataclass(frozen=True)
 class _FdpTask:
     gen: GeneratorSpec
@@ -242,21 +118,19 @@ class _FdpTask:
     alpha: float
 
     def one_rep(self, rng: np.random.Generator) -> float:
+        n, alpha = self.gen.n, self.alpha
         if self.adv is None:
             p, mask = sample_arrays(self.gen, rng)
-            v, r = _generic_counts(p, mask, self.alpha, self.proc)
-            return v / max(r, 1)
-        n, n0 = self.gen.n, self.gen.n0
-        n1 = n - n0
+            r = step_count(np.sort(p), n, alpha, self.proc)
+            return int(np.count_nonzero(p[mask] <= alpha * r / n)) / max(r, 1)
         nulls_sorted = np.sort(sample_null_pvalues(self.gen, rng))
+        n1 = n - nulls_sorted.size
         if self.proc == "most_anti_conservative":
-            rank, ceiling = _anchor_choice(nulls_sorted, n, self.alpha, n1)
-            if rank == 0:
-                return 0.0
-            return rank / max(rank + max(ceiling - rank, 0), 1)
-        zeros = _planted_zeros(self.adv, nulls_sorted, n1, n, self.alpha)
-        v, r = _completed_counts(nulls_sorted, zeros, n, self.alpha, self.proc)
-        return v / max(r, 1)
+            rank, ceiling = anchor_choice(nulls_sorted, n, alpha, n1)
+            return rank / max(ceiling, rank, 1)
+        zeros, _ = self.adv.plant(nulls_sorted, n1, n, alpha)
+        r = step_count(nulls_sorted, n, alpha, self.proc, offset=zeros)
+        return (r - zeros) / max(r, 1)
 
 
 @dataclass(frozen=True)
@@ -264,10 +138,7 @@ class _SimesTask:
     gen: GeneratorSpec
 
     def one_rep(self, rng: np.random.Generator) -> float:
-        nulls = sample_null_pvalues(self.gen, rng)
-        sorted_p = np.sort(nulls)
-        ranks = np.arange(1, nulls.size + 1)
-        return float(min(np.min(nulls.size * sorted_p / ranks), 1.0))
+        return simes_sorted(np.sort(sample_null_pvalues(self.gen, rng)))
 
 
 @dataclass(frozen=True)
@@ -329,25 +200,25 @@ def _replication_values(task, cfg: McConfig) -> np.ndarray:
     return values
 
 
-def _check_proc(proc: str, adv: Optional[AdversarySpec]) -> None:
+def fdp_values(gen: GeneratorSpec, adv: Optional[AdversarySpec], proc: str,
+               alpha: float, cfg: McConfig) -> np.ndarray:
+    """Per-replication false discovery proportions, in replication order;
+    every FDP-type estimate is a reduction of this vector."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if proc not in PROCEDURES:
         raise ValueError(f"unknown procedure {proc!r}; choose from {PROCEDURES}")
-    if proc == "most_anti_conservative":
-        if not isinstance(adv, (InformedAdversary, MostAntiConservativeAdversary)):
-            raise ValueError(
-                "the most anti-conservative procedure needs an informed or "
-                "most-anti-conservative adversary to supply its zeros"
-            )
+    if proc == "most_anti_conservative" and \
+            not isinstance(adv, (InformedAdversary, MostAntiConservativeAdversary)):
+        raise ValueError("the most anti-conservative procedure needs an informed or "
+                         "most-anti-conservative adversary to supply its zeros")
+    return _replication_values(_FdpTask(gen, adv, proc, alpha), cfg)
 
 
 def estimate_fdr(gen: GeneratorSpec, adv: Optional[AdversarySpec], proc: str,
                  alpha: float, cfg: McConfig) -> McEstimate:
     """Monte Carlo mean of the false discovery proportion."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    _check_proc(proc, adv)
-    values = _replication_values(_FdpTask(gen, adv, proc, alpha), cfg)
-    return _estimate_from_values(values, cfg)
+    return McEstimate.from_values(fdp_values(gen, adv, proc, alpha, cfg), cfg)
 
 
 def estimate_fdx(gen: GeneratorSpec, adv: Optional[AdversarySpec], proc: str,
@@ -355,11 +226,8 @@ def estimate_fdx(gen: GeneratorSpec, adv: Optional[AdversarySpec], proc: str,
     """Monte Carlo estimate of ``P(FDP >= gamma)``."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    _check_proc(proc, adv)
-    values = _replication_values(_FdpTask(gen, adv, proc, alpha), cfg)
-    return _estimate_from_values((values >= gamma).astype(float), cfg)
+    values = fdp_values(gen, adv, proc, alpha, cfg)
+    return McEstimate.from_values((values >= gamma).astype(float), cfg)
 
 
 def estimate_fdp_moment(gen: GeneratorSpec, adv: Optional[AdversarySpec], proc: str,
@@ -369,11 +237,7 @@ def estimate_fdp_moment(gen: GeneratorSpec, adv: Optional[AdversarySpec], proc: 
     k = int(k)
     if k < 1:
         raise ValueError(f"moment order must be >= 1, got {k}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    _check_proc(proc, adv)
-    values = _replication_values(_FdpTask(gen, adv, proc, alpha), cfg)
-    return _estimate_from_values(values ** k, cfg)
+    return McEstimate.from_values(fdp_values(gen, adv, proc, alpha, cfg) ** k, cfg)
 
 
 def estimate_fdr0_curve(null_gen: GeneratorSpec, cfg: McConfig) -> EmpiricalCurve:
@@ -406,8 +270,7 @@ def estimate_worst_fdr_limit(alpha: float, cfg: McConfig,
         raise ValueError("extension floor multiplier must be positive")
     j_floor = int(math.ceil(20.0 / alpha * extension_floor_multiplier))
     task = _LimitTask(alpha, min(j_floor, _LIMIT_J_MAX))
-    values = _replication_values(task, cfg)
-    return _estimate_from_values(values, cfg)
+    return McEstimate.from_values(_replication_values(task, cfg), cfg)
 
 
 def verify_linking(gen: GeneratorSpec, adv: Optional[AdversarySpec], alpha: float,

@@ -28,8 +28,10 @@ from .study import PValueStudy, RejectionOutcome
 __all__ = [
     "bh_step_up",
     "bh_step_down",
+    "step_count",
     "is_compliant",
     "simes_pvalue",
+    "simes_sorted",
     "simes_rejects",
     "fdp_upper_bound",
     "min_rejections_for",
@@ -85,36 +87,40 @@ def min_rejections_for(pvalue: float, n: int, alpha: float) -> int:
     return max(snap_ceil(int(n) * pvalue / alpha), 1)
 
 
+def step_count(sorted_p: np.ndarray, n: int, alpha: float, proc: str,
+               offset: int = 0) -> int:
+    """Rejection count of a step procedure on a size-`n` study whose `offset`
+    smallest p-values pass (planted zeros), whose next are the ascending
+    `sorted_p` and whose rest fail (ones). Position j passes iff
+    ``p_(j) <= alpha * j / n``; step-up takes the last passing position,
+    step-down the end of the leading run of them."""
+    ok = sorted_p <= alpha * (offset + 1 + np.arange(sorted_p.size)) / n
+    if proc == "step_up":
+        passing = np.nonzero(ok)[0]
+        return offset + int(passing[-1]) + 1 if passing.size else offset
+    if proc == "step_down":
+        return offset + sorted_p.size if ok.all() else offset + int(np.argmin(ok))
+    raise ValueError(f"unknown procedure {proc!r}")
+
+
+def _step_outcome(study: PValueStudy, alpha: float, proc: str) -> RejectionOutcome:
+    # Both procedures reject exactly the p-values at or below alpha * R / n:
+    # the R smallest all lie there and every larger one fails its threshold.
+    alpha = _check_alpha(alpha)
+    r = step_count(np.sort(study.pvalues), study.n, alpha, proc)
+    return RejectionOutcome.from_indices(study, np.nonzero(study.pvalues <= alpha * r / study.n)[0])
+
+
 def bh_step_up(study: PValueStudy, alpha: float) -> RejectionOutcome:
     """Step-up procedure: reject the R smallest p-values, where R is the last
     sorted position j with ``p_(j) <= alpha * j / n``."""
-    alpha = _check_alpha(alpha)
-    n = study.n
-    p = study.pvalues
-    sorted_p = np.sort(p)
-    thresholds = alpha * np.arange(1, n + 1) / n
-    passing = np.nonzero(sorted_p <= thresholds)[0]
-    if passing.size == 0:
-        return RejectionOutcome.empty()
-    r = int(passing[-1]) + 1
-    cutoff = alpha * r / n
-    rejected = np.nonzero(p <= cutoff)[0]
-    return RejectionOutcome.from_indices(study, rejected)
+    return _step_outcome(study, alpha, "step_up")
 
 
 def bh_step_down(study: PValueStudy, alpha: float) -> RejectionOutcome:
     """Step-down variant: reject the largest prefix of sorted p-values whose
     every member passes its own threshold ``alpha * j / n``."""
-    alpha = _check_alpha(alpha)
-    n = study.n
-    order = np.argsort(study.pvalues, kind="stable")
-    sorted_p = study.pvalues[order]
-    thresholds = alpha * np.arange(1, n + 1) / n
-    ok = sorted_p <= thresholds
-    if not ok[0]:
-        return RejectionOutcome.empty()
-    r = n if ok.all() else int(np.argmin(ok))
-    return RejectionOutcome.from_indices(study, order[:r])
+    return _step_outcome(study, alpha, "step_down")
 
 
 def is_compliant(study: PValueStudy, outcome: RejectionOutcome, alpha: float) -> bool:
@@ -130,17 +136,18 @@ def is_compliant(study: PValueStudy, outcome: RejectionOutcome, alpha: float) ->
     return bool(np.all(study.pvalues[idx] <= cutoff))
 
 
+def simes_sorted(sorted_p: np.ndarray) -> float:
+    """Simes combination ``min(min_j n0 * p_(j) / j, 1)`` of ascending nulls."""
+    return float(min(np.min(sorted_p.size * sorted_p / np.arange(1, sorted_p.size + 1)), 1.0))
+
+
 def simes_pvalue(null_pvalues: Sequence[float]) -> float:
     """Simes combination of the null p-values: ``min_j n0 * p_(j) / j``.
 
     Never exceeds 1 for inputs in [0, 1] because the last term is ``p_(n0)``;
     the value is clamped anyway to guard against rounding.
     """
-    arr = _check_nulls(null_pvalues)
-    n0 = arr.size
-    sorted_p = np.sort(arr)
-    ranks = np.arange(1, n0 + 1)
-    return float(min(np.min(n0 * sorted_p / ranks), 1.0))
+    return simes_sorted(np.sort(_check_nulls(null_pvalues)))
 
 
 def simes_rejects(null_pvalues: Sequence[float], x: float) -> bool:
@@ -158,14 +165,12 @@ def fdp_upper_bound(null_pvalues: Sequence[float], n: int, alpha: float) -> Frac
     p-values, as an exact rational. A zero null p-value makes the bound 1:
     rejecting it alone already realizes FDP = 1, matching the limit p -> 0+.
     """
+    from .adversaries import anchor_choice  # adversaries builds on this module
+
     alpha = _check_alpha(alpha)
     arr = _check_nulls(null_pvalues)
     n = int(n)
     if n < arr.size:
         raise ValueError("n must be at least the number of null p-values")
-    if np.any(arr == 0.0):
-        return Fraction(1)
-    best = Fraction(0)
-    for j, p in enumerate(np.sort(arr), start=1):
-        best = max(best, Fraction(j, min_rejections_for(float(p), n, alpha)))
-    return min(best, Fraction(1))
+    rank, ceiling = anchor_choice(np.sort(arr), n, alpha)
+    return min(Fraction(rank, ceiling), Fraction(1))

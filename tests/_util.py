@@ -1,4 +1,6 @@
-"""Shared test helpers: brute-force oracles and distribution distances."""
+"""Shared test helpers: exact and brute-force oracles, and distribution
+distances. The oracles are per-element Python loops, independent of the
+vectorized kernels they check."""
 
 from __future__ import annotations
 
@@ -7,7 +9,8 @@ from itertools import combinations
 
 import numpy as np
 
-from fdrlink import PValueStudy, RejectionOutcome
+from fdrlink import (FixedZerosAdversary, InformedAdversary, MostAntiConservativeAdversary,
+                     PValueStudy, RejectionOutcome, min_rejections_for)
 
 # Asymptotic Kolmogorov-Smirnov critical coefficient at the 1% level:
 # sqrt(-0.5 * ln(0.005)). Critical distance = KS_COEFF_1PCT / sqrt(n).
@@ -20,6 +23,70 @@ def ks_distance_uniform(samples) -> float:
     n = x.size
     grid = np.arange(1, n + 1) / n
     return float(max(np.max(grid - x), np.max(x - (grid - 1.0 / n))))
+
+
+def anchor_oracle(nulls_sorted, n: int, alpha: float, n1=None, first_rank: int = 1):
+    """``(rank, ceiling)`` with the largest exact ratio ``rank / ceiling``,
+    ties to the largest rank, over ranks whose zero count fits in `n1` (when
+    given); ``(0, 0)`` when none does. A zero p-value has ceiling 1."""
+    best = (0, 0)
+    for j, p in enumerate(nulls_sorted, start=first_rank):
+        c = min_rejections_for(float(p), n, alpha) if p > 0.0 else 1
+        if (n1 is None or c - j <= n1) and (best == (0, 0) or Fraction(j, c) >= Fraction(*best)):
+            best = (j, c)
+    return best
+
+
+def planted_zeros_oracle(adv, nulls_sorted, n1: int, n: int, alpha: float) -> int:
+    """Zero count each adversary plants, from :func:`anchor_oracle`."""
+    if isinstance(adv, FixedZerosAdversary):
+        return adv.zeros
+    if isinstance(adv, (InformedAdversary, MostAntiConservativeAdversary)):
+        feasible = n1 if isinstance(adv, MostAntiConservativeAdversary) else None
+        rank, c = anchor_oracle(nulls_sorted, n, alpha, feasible)
+    elif adv.strategy == "plug_in_second":
+        rank, c = anchor_oracle([nulls_sorted[1], *nulls_sorted[1:]], n, alpha)
+    else:
+        rank, c = anchor_oracle(nulls_sorted[1:], n, alpha, first_rank=2)
+    return min(max(c - rank, 0), n1)
+
+
+def step_up_r_oracle(pvalues, alpha):
+    """Brute-force scan: last sorted position passing its own threshold."""
+    s = sorted(pvalues)
+    n = len(s)
+    best = 0
+    for j in range(1, n + 1):
+        if s[j - 1] <= alpha * j / n:
+            best = j
+    return best
+
+
+def step_down_r_oracle(pvalues, alpha):
+    s = sorted(pvalues)
+    n = len(s)
+    for j in range(1, n + 1):
+        if s[j - 1] > alpha * j / n:
+            return j - 1
+    return n
+
+
+def step_fdp_oracle(study: PValueStudy, alpha: float, proc: str) -> Fraction:
+    """FDP of a step procedure: the R smallest p-values (stable order)."""
+    r_oracle = step_up_r_oracle if proc == "step_up" else step_down_r_oracle
+    r = r_oracle(study.pvalues, alpha)
+    order = sorted(range(study.n), key=lambda i: study.pvalues[i])
+    return Fraction(sum(bool(study.null_mask[i]) for i in order[:r]), max(r, 1))
+
+
+def completed_fdp_oracle(adv, nulls_sorted, n1: int, n: int, alpha: float,
+                         proc: str) -> Fraction:
+    """FDP of a step procedure on the study `adv` completes: sorted nulls,
+    the planted zeros, then ones."""
+    zeros = planted_zeros_oracle(adv, nulls_sorted, n1, n, alpha)
+    study = PValueStudy(list(nulls_sorted) + [0.0] * zeros + [1.0] * (n1 - zeros),
+                        [True] * len(nulls_sorted) + [False] * n1)
+    return step_fdp_oracle(study, alpha, proc)
 
 
 def enumerate_compliant_outcomes(study: PValueStudy, alpha: float):

@@ -21,6 +21,7 @@ from fdrlink import (
     IidUniform,
     InformedAdversary,
     McConfig,
+    McEstimate,
     PValueStudy,
     TwoSidedWrap,
     arbitrary_dep_bound,
@@ -30,6 +31,7 @@ from fdrlink import (
     estimate_fdr0_curve,
     estimate_worst_fdr_limit,
     fdp_upper_bound,
+    fdp_values,
     fdx_bound,
     improvement_range,
     informed_adversary,
@@ -41,8 +43,6 @@ from fdrlink import (
     prdn_bound_pi0,
     verify_linking,
 )
-from fdrlink.mc import _estimate_from_values, _FdpTask, _replication_values
-
 from _util import KS_COEFF_1PCT, enumerate_compliant_outcomes, ks_distance_uniform
 
 REPS = 100_000
@@ -68,8 +68,7 @@ def informed_fdp_values():
     cfg = McConfig(reps=REPS, master_seed=MASTER_SEED)
     values = {}
     for alpha in (0.01, 0.05, 0.1, 0.2):
-        task = _FdpTask(C23_GEN, InformedAdversary(), "step_up", alpha)
-        values[alpha] = _replication_values(task, cfg)
+        values[alpha] = fdp_values(C23_GEN, InformedAdversary(), "step_up", alpha, cfg)
     return cfg, values
 
 
@@ -88,7 +87,7 @@ def test_c02_positive_dependence_envelope(informed_fdp_values):
     details = []
     ok = True
     for alpha in (0.01, 0.05, 0.1, 0.2):
-        est = _estimate_from_values(values[alpha], cfg)
+        est = McEstimate.from_values(values[alpha], cfg)
         bound = prdn_bound_pi0(C23_PI0, alpha)
         ok &= est.mean <= bound + 3.0 * est.stderr
         details.append(f"a={alpha}: {est.mean:.5f}<={bound:.5f}")
@@ -103,7 +102,7 @@ def test_c03_worst_case_tightness(informed_fdp_values):
     ok = True
     details = []
     for alpha in (0.1, 0.05, 0.01):
-        est = _estimate_from_values(values[alpha], cfg)
+        est = McEstimate.from_values(values[alpha], cfg)
         lim = estimate_worst_fdr_limit(C23_PI0 * alpha, cfg)
         slack = 6.0 * math.hypot(est.stderr, lim.stderr)
         ok &= est.mean >= lim.mean - slack

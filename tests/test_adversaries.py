@@ -2,8 +2,10 @@
 
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from fdrlink import (
     BonferroniMaskedAdversary,
@@ -22,7 +24,46 @@ from fdrlink import (
     most_anti_conservative,
 )
 
-from _util import brute_force_max_fdp
+from fdrlink.adversaries import anchor_choice
+
+from _util import anchor_oracle, brute_force_max_fdp
+
+
+def _near_boundary(draw, ceiling: int, n: int, alpha: float) -> float:
+    """``alpha * ceiling / n`` moved by up to two ulps either way."""
+    p = alpha * ceiling / n
+    for _ in range(abs(k := draw(st.integers(-2, 2)))):
+        p = float(np.nextafter(p, 2.0 if k > 0 else 0.0))
+    return min(p, 1.0)
+
+
+@st.composite
+def _boundary_nulls(draw):
+    """Sorted nulls within two ulps of ceiling boundaries: repeats drawn for
+    small n and for n * p / alpha near 1e9, or a ladder of ceilings
+    ``j * C + d_j`` (|d_j| <= 1) whose ratios tie within 1e-12 in floats."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 60) | st.integers(5 * 10**8, 2 * 10**9))
+        alpha = draw(st.sampled_from([0.01, 0.05, 0.1, 0.25, 0.6]) | st.floats(0.001, 0.999))
+        ceiling = st.integers(max(1, n - 50), n) | st.integers(1, n)
+        pool = [_near_boundary(draw, draw(ceiling), n, alpha)
+                for _ in range(draw(st.integers(1, 6)))]
+        nulls = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+        n1, first_rank = draw(st.none() | st.integers(0, 3)), draw(st.sampled_from([1, 2]))
+        return sorted(nulls), n, alpha, n1, first_rank
+    n, alpha = draw(st.integers(10**9, 2 * 10**9)), draw(st.sampled_from([1e-3, 2e-4]))
+    size = draw(st.integers(2, 4))
+    big = draw(st.integers(int(n / alpha) // (2 * size), int(n / alpha) // size))
+    ladder = [j * big + draw(st.integers(-1, 1)) for j in range(1, size + 1)]
+    return sorted(_near_boundary(draw, c, n, alpha) for c in ladder), n, alpha, None, 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_boundary_nulls())
+def test_anchor_kernel_matches_exact_oracle(case):
+    nulls, n, alpha, n1, first_rank = case
+    assert anchor_choice(np.array(nulls), n, alpha, n1, first_rank) == \
+        anchor_oracle(nulls, n, alpha, n1, first_rank)
 
 
 class TestMaxFdpRank:

@@ -28,7 +28,7 @@ from fdrlink import (
     two_sided_from_one_sided,
     vanishing_null_family,
 )
-from fdrlink.dependence import _equicorrelated_draw, sample_arrays
+from fdrlink.dependence import _equicorrelate, sample_arrays
 
 from _util import KS_COEFF_1PCT, ks_distance_uniform
 
@@ -88,9 +88,7 @@ class TestEquicorrelatedSqrt:
         for n, rho in ((5, -0.2), (40, 0.6), (7, -1.0 / 6)):
             z = np.random.default_rng(11).standard_normal(n)
             direct = equicorrelated_sqrt(n, rho) @ z
-            rng = np.random.default_rng(11)
-            fast = _equicorrelated_draw(rng, n, rho)
-            assert np.allclose(direct, fast, atol=1e-12)
+            assert np.allclose(direct, _equicorrelate(z, rho), atol=1e-12)
 
     def test_inadmissible_rho(self):
         with pytest.raises(ValueError):
@@ -228,6 +226,61 @@ class TestSampling:
         study = sample(EquicorrelatedNormal(50, 50, 0.0, mu_alt=3.0), 5)
         assert study.nonnull_pvalues.mean() < 0.25
         assert 0.3 < study.null_pvalues.mean() < 0.7
+
+
+def _block_loop_draw(spec: BlockDependent, rng, nulls_only: bool) -> np.ndarray:
+    """Reference block-dependent draw, one generator call per block: a full
+    draw, or (nulls_only) the nulls of the blocks that hold one."""
+    out, start = [], 0
+    for size in spec.block_sizes:
+        inside = spec.null_mask[start:start + size]
+        start += size
+        if nulls_only and not inside.any():
+            continue
+        if spec.within == "identical":
+            p = np.full(size, rng.random())
+        else:
+            z = rng.standard_normal(size)
+            if spec.rho_w != 0.0 and size > 1:
+                a = math.sqrt(1.0 - spec.rho_w)
+                b = math.sqrt(max(1.0 + (size - 1) * spec.rho_w, 0.0))
+                z = a * z + (b - a) * z.mean()
+            z = z + np.where(inside, 0.0, spec.mu_alt)
+            p = normal_cdf(-z) if spec.sided == "one" else 2.0 * normal_cdf(-np.abs(z))
+        out.append(p[inside] if nulls_only else p)
+    return np.concatenate(out)
+
+
+class TestVectorizedBlockDraw:
+    """One generator call for all blocks reproduces the per-block draws."""
+
+    @pytest.mark.parametrize("within,rho_w,sided", [
+        ("identical", None, "one"),
+        ("equicorrelated", 0.5, "one"),
+        ("equicorrelated", 0.7, "two"),
+        ("equicorrelated", -0.004, "one"),
+        ("equicorrelated", 0.0, "two"),
+    ])
+    def test_matches_block_loop(self, within, rho_w, sided):
+        sizes = (1, 40, 3, 200, 9, 40, 1, 3, 2)
+        rng = np.random.default_rng(26)
+        mask = rng.random(sum(sizes)) < 0.4
+        mask[41:44] = False  # a block without nulls
+        specs = [BlockDependent(sizes, within, rho_w, mask, 1.3, sided),
+                 BlockDependent(sizes, within, rho_w, None, 1.3, sided)]
+        for spec, seed in itertools.product(specs, range(20)):
+            p, got_mask = sample_arrays(spec, np.random.default_rng(seed))
+            assert np.array_equal(p, _block_loop_draw(spec, np.random.default_rng(seed), False))
+            assert np.array_equal(got_mask, spec.null_mask)
+            nulls = sample_null_pvalues(spec, np.random.default_rng(seed))
+            assert np.array_equal(nulls, _block_loop_draw(spec, np.random.default_rng(seed), True))
+
+    def test_no_nulls_rejected(self):
+        spec = BlockDependent((2, 3), null_mask=[False] * 5)
+        with pytest.raises(ValueError):
+            sample_null_pvalues(spec, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            restrict_to_nulls(spec)
 
 
 class TestRestrictToNulls:

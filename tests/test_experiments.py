@@ -88,6 +88,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config("{not json", env={})
 
+    def test_long_json_text_is_not_probed_as_a_path(self):
+        # A path component over 255 characters makes a filesystem probe fail.
+        text = json.dumps({"schema": 1, "preset": "E4", "name": "x" * 300})
+        assert load_config(text, env={}).name == "x" * 300
+
 
 class TestOutputs:
     def test_csv_format(self, tmp_path):
@@ -247,6 +252,14 @@ class TestCli:
         assert main(["run", str(bad)]) == 2
         # No partial outputs appear on config failure.
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("workers", ["two", -3, 0, True, 1.5])
+    def test_bad_workers_exit_code(self, tmp_path, capsys, workers):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema": 1, "preset": "E1", "workers": workers,
+                                   "out_dir": str(tmp_path / "out")}))
+        assert main(["run", str(cfg)]) == 2
+        assert "workers must be an integer >= 1" in capsys.readouterr().err
 
     def test_unwritable_output_exit_code(self, tmp_path):
         blocker = tmp_path / "file"

@@ -2,6 +2,8 @@
 and the envelope properties of the estimates."""
 
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from fdrlink import (
     InformedAdversary,
     McConfig,
     MostAntiConservativeAdversary,
+    McEstimate,
     PValueStudy,
     bh_step_down,
     bh_step_up,
@@ -26,15 +29,27 @@ from fdrlink import (
     estimate_fdx,
     estimate_worst_fdr_limit,
     fdp_upper_bound,
+    fdp_values,
     fdx_bound,
-    most_anti_conservative,
     prdn_bound_pi0,
     sample_null_pvalues,
     verify_linking,
 )
-from fdrlink.mc import _FdpTask, _replication_values
+from fdrlink.adversaries import anchor_choice
+from fdrlink.dependence import sample_arrays
 
-from _util import KS_COEFF_1PCT, ks_distance_uniform
+from _util import (
+    KS_COEFF_1PCT,
+    anchor_oracle,
+    completed_fdp_oracle,
+    ks_distance_uniform,
+    step_fdp_oracle,
+)
+
+
+def _rep_rng(master_seed: int, idx: int) -> np.random.Generator:
+    """The generator of replication `idx` under the seeding contract."""
+    return np.random.Generator(np.random.PCG64(derive_seed(master_seed, idx)))
 
 
 class TestSeeding:
@@ -73,7 +88,8 @@ class TestSeeding:
 
 
 class TestFastPathConsistency:
-    """The engine kernels must agree with the reference procedures."""
+    """Per-replication FDPs agree exactly with oracles that share no code
+    with the engine: the exact rank loop and brute-force step scans."""
 
     @pytest.mark.parametrize("proc,reference", [
         ("step_up", bh_step_up),
@@ -89,40 +105,30 @@ class TestFastPathConsistency:
     def test_completed_fdp_matches_reference(self, proc, reference, adv):
         gen = EquicorrelatedNormal(8, 20, 0.3)
         alpha = 0.15
-        task = _FdpTask(gen, adv, proc, alpha)
-        for idx in range(120):
-            seed = derive_seed(777, idx)
-            fast = task.one_rep(np.random.Generator(np.random.PCG64(seed)))
-            rng = np.random.Generator(np.random.PCG64(seed))
-            nulls = sample_null_pvalues(gen, rng)
+        values = fdp_values(gen, adv, proc, alpha, McConfig(120, 777))
+        for idx, fast in enumerate(values):
+            nulls = np.sort(sample_null_pvalues(gen, _rep_rng(777, idx)))
+            expected = completed_fdp_oracle(adv, nulls.tolist(), gen.n1, gen.n, alpha, proc)
             completed = complete_study(nulls, gen.n1, gen.n, alpha, adv)
-            slow = reference(completed.study, alpha)
-            assert fast == pytest.approx(float(slow.fdp), abs=0.0)
+            assert fast == float(expected) and reference(completed.study, alpha).fdp == expected
 
     def test_most_anti_proc_matches_reference(self):
         gen = IidUniform(10, 25)
         alpha = 0.2
-        task = _FdpTask(gen, InformedAdversary(), "most_anti_conservative", alpha)
-        for idx in range(150):
-            seed = derive_seed(42, idx)
-            fast = task.one_rep(np.random.Generator(np.random.PCG64(seed)))
-            rng = np.random.Generator(np.random.PCG64(seed))
-            nulls = sample_null_pvalues(gen, rng)
-            slow = most_anti_conservative(nulls, gen.n1, gen.n, alpha)
-            assert fast == pytest.approx(float(slow.fdp), abs=0.0)
+        values = fdp_values(gen, InformedAdversary(), "most_anti_conservative", alpha,
+                            McConfig(150, 42))
+        for idx, fast in enumerate(values):
+            nulls = np.sort(sample_null_pvalues(gen, _rep_rng(42, idx)))
+            rank, c = anchor_oracle(nulls.tolist(), gen.n, alpha, gen.n1)
+            assert fast == (float(min(Fraction(rank, c), 1)) if rank else 0.0)
 
     def test_generic_path_matches_reference(self):
         gen = EquicorrelatedNormal(10, 5, 0.2, mu_alt=1.5)
-        for proc, reference in (("step_up", bh_step_up), ("step_down", bh_step_down)):
-            task = _FdpTask(gen, None, proc, 0.25)
-            for idx in range(100):
-                seed = derive_seed(9, idx)
-                fast = task.one_rep(np.random.Generator(np.random.PCG64(seed)))
-                rng = np.random.Generator(np.random.PCG64(seed))
-                from fdrlink.dependence import sample_arrays
-                p, mask = sample_arrays(gen, rng)
-                slow = reference(PValueStudy(p, mask), 0.25)
-                assert fast == pytest.approx(float(slow.fdp), abs=0.0)
+        for proc in ("step_up", "step_down"):
+            values = fdp_values(gen, None, proc, 0.25, McConfig(100, 9))
+            for idx, fast in enumerate(values):
+                study = PValueStudy(*sample_arrays(gen, _rep_rng(9, idx)))
+                assert fast == float(step_fdp_oracle(study, 0.25, proc))
 
     def test_most_anti_needs_matching_adversary(self):
         with pytest.raises(ValueError):
@@ -130,6 +136,39 @@ class TestFastPathConsistency:
                          "most_anti_conservative", 0.1, McConfig(2, 0))
         with pytest.raises(ValueError):
             estimate_fdr(IidUniform(5, 5), None, "nope", 0.1, McConfig(2, 0))
+
+
+@dataclass(frozen=True)
+class _FixedNulls(IidUniform):
+    """Generator stub whose every null draw returns the same p-values."""
+
+    nulls: tuple = ()
+
+    def draw_nulls(self, rng) -> np.ndarray:
+        return np.array(self.nulls)
+
+
+@pytest.mark.filterwarnings("error")
+class TestZeroNulls:
+    """rng.random() can return 0.0: a zero null has FDP ceiling 1."""
+
+    def test_kernel_floors_ceilings_at_one(self):
+        assert anchor_choice(np.array([0.0, 0.0, 0.5]), 10, 0.1) == (2, 1)
+        assert anchor_choice(np.array([0.0, 0.0, 0.5]), 10, 0.1, n1=7) == (2, 1)
+        assert anchor_choice(np.array([0.0, 0.5]), 10, 0.1, first_rank=2) == (2, 1)
+
+    @pytest.mark.parametrize("nulls", [(0.0, 0.5, 0.7), (0.0, 0.0, 0.5)])
+    def test_one_replication(self, nulls):
+        gen, alpha, cfg = _FixedNulls(len(nulls), 7, nulls), 0.1, McConfig(1, 0)
+        # The informed construction realizes the ceiling of 1 ...
+        assert fdp_values(gen, InformedAdversary(), "step_up", alpha, cfg).tolist() == [1.0]
+        assert fdp_values(gen, InformedAdversary(), "most_anti_conservative", alpha,
+                          cfg).tolist() == [1.0]
+        # ... and the masked ones, blind to the smallest null, match the oracle.
+        for strategy, proc in (("plug_in_second", "step_down"), ("shifted_argmax", "step_up")):
+            adv = BonferroniMaskedAdversary(strategy)
+            expected = completed_fdp_oracle(adv, nulls, gen.n1, gen.n, alpha, proc)
+            assert fdp_values(gen, adv, proc, alpha, cfg).tolist() == [float(expected)]
 
 
 class TestFdrEstimates:
@@ -167,12 +206,9 @@ class TestFdrEstimates:
         gen = IidUniform(25, 100)
         alpha = 0.15
         for adv in (InformedAdversary(), BonferroniMaskedAdversary("plug_in_second")):
-            task = _FdpTask(gen, adv, "step_up", alpha)
-            for idx in range(200):
-                seed = derive_seed(23, idx)
-                fdp = task.one_rep(np.random.Generator(np.random.PCG64(seed)))
-                rng = np.random.Generator(np.random.PCG64(seed))
-                nulls = sample_null_pvalues(gen, rng)
+            values = fdp_values(gen, adv, "step_up", alpha, McConfig(200, 23))
+            for idx, fdp in enumerate(values):
+                nulls = sample_null_pvalues(gen, _rep_rng(23, idx))
                 assert fdp <= float(fdp_upper_bound(nulls, gen.n, alpha)) + 1e-15
 
     def test_masked_envelope(self):
@@ -329,7 +365,9 @@ class TestVerifyLinking:
 
 
 def test_replication_values_order_independent_of_chunking():
-    task = _FdpTask(IidUniform(10, 20), InformedAdversary(), "step_up", 0.1)
-    a = _replication_values(task, McConfig(reps=100, master_seed=97, workers=1))
-    b = _replication_values(task, McConfig(reps=100, master_seed=97, workers=4))
+    gen, adv = IidUniform(10, 20), InformedAdversary()
+    a = fdp_values(gen, adv, "step_up", 0.1, McConfig(reps=100, master_seed=97, workers=1))
+    b = fdp_values(gen, adv, "step_up", 0.1, McConfig(reps=100, master_seed=97, workers=4))
     assert np.array_equal(a, b)
+    assert McEstimate.from_values(a, McConfig(100, 97)) == \
+        estimate_fdr(gen, adv, "step_up", 0.1, McConfig(100, 97))

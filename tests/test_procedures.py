@@ -20,27 +20,13 @@ from fdrlink import (
 )
 from fdrlink.procedures import snap_ceil, snap_ceil_array
 
-from _util import brute_force_max_fdp, enumerate_compliant_outcomes, random_study
-
-
-def step_up_r_oracle(pvalues, alpha):
-    """Brute-force scan: last sorted position passing its own threshold."""
-    s = sorted(pvalues)
-    n = len(s)
-    best = 0
-    for j in range(1, n + 1):
-        if s[j - 1] <= alpha * j / n:
-            best = j
-    return best
-
-
-def step_down_r_oracle(pvalues, alpha):
-    s = sorted(pvalues)
-    n = len(s)
-    for j in range(1, n + 1):
-        if s[j - 1] > alpha * j / n:
-            return j - 1
-    return n
+from _util import (
+    brute_force_max_fdp,
+    enumerate_compliant_outcomes,
+    random_study,
+    step_down_r_oracle,
+    step_up_r_oracle,
+)
 
 
 class TestStudyTypes:
@@ -95,6 +81,12 @@ class TestStepUp:
         out = bh_step_up(s, 0.1)
         assert step_up_r_oracle(s.pvalues, 0.1) == 2
         assert out.n_rejected == 2 and out.rejected == {0, 1}
+
+    def test_thresholds_are_inclusive(self):
+        n, alpha = 7, 0.3
+        s = PValueStudy.global_null([alpha * j / n for j in (1, 2, 3)] + [1.0] * 4)
+        assert bh_step_up(s, alpha).n_rejected == step_up_r_oracle(s.pvalues, alpha) == 3
+        assert bh_step_down(s, alpha).n_rejected == step_down_r_oracle(s.pvalues, alpha) == 3
 
     def test_alpha_domain(self):
         s = PValueStudy.global_null([0.5])
