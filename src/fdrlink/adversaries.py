@@ -17,10 +17,12 @@ Completed studies use a canonical layout: nulls first (input order), then the
 planted zeros, then the ones. Every statistic of interest is invariant to
 permuting hypotheses, so the layout is a convention only.
 
-Ranks come from one kernel, :func:`anchor_choice`: a float argmax of
-``j / ceil(n * p_(j) / alpha)`` (ceilings floored at 1), refined in exact
-rational arithmetic only among float-tied candidates, ties to the largest
-rank. Each adversary spec owns its planted-zero count (``plant``).
+Ranks come from one row-wise kernel, :func:`anchor_choice`: per row of
+ascending nulls, a float argmax of ``j / c_j`` with ``c_j`` the smallest
+``c >= 1`` for which ``p_(j) <= alpha * c / n``, refined in exact rational
+arithmetic only on rows with float-tied candidates, ties to the largest rank.
+Each adversary spec owns its row-wise planted-zero count (``plant``); the
+scalar functions here are one-row calls.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .procedures import snap_ceil_array
+from .procedures import threshold_ceil
 from .study import PValueStudy, RejectionOutcome
 
 __all__ = [
@@ -55,48 +57,52 @@ MASKED_STRATEGIES = ("plug_in_second", "shifted_argmax")
 
 
 def anchor_choice(nulls_sorted: np.ndarray, n: int, alpha: float,
-                  n1: Optional[int] = None, first_rank: int = 1) -> tuple[int, int]:
-    """``(rank, ceiling)`` maximizing ``rank / ceiling`` over ascending nulls,
-    where ``ceiling = max(ceil(n * p / alpha), 1)`` and the first null has
-    rank `first_rank`; ties resolve to the largest rank.
+                  n1: Optional[int] = None, first_rank: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``(ranks, ceilings)`` maximizing ``rank / ceiling`` over each
+    row of a ``(rows, m)`` matrix of ascending nulls, where a null's ceiling
+    is the smallest ``c >= 1`` with ``p <= alpha * c / n`` and the first
+    column has rank `first_rank`; ties resolve to the largest rank.
 
     With `n1` given, only ranks whose zero count ``ceiling - rank`` fits in
     `n1` compete, and ``(0, 0)`` means none does. Zero p-values are accepted
     (their ceiling is 1); callers validate their own inputs.
     """
-    ceils = np.maximum(snap_ceil_array(n * nulls_sorted / alpha), 1.0)
-    ranks = np.arange(first_rank, first_rank + nulls_sorted.size, dtype=float)
-    if n1 is not None:
-        feasible = np.nonzero(ceils - ranks <= n1)[0]
-        if feasible.size == 0:
-            return 0, 0
-        ranks, ceils = ranks[feasible], ceils[feasible]
+    ceils = threshold_ceil(nulls_sorted, n, alpha)
+    ranks = np.arange(first_rank, first_rank + nulls_sorted.shape[1], dtype=float)
     ratios = ranks / ceils
-    candidates = np.nonzero(ratios >= ratios.max() * (1.0 - 1e-12))[0].tolist()
+    if n1 is not None:
+        ratios[ceils - ranks > n1] = -1.0
+    best = ratios.max(axis=1)
+    near = ratios >= (best * (1.0 - 1e-12))[:, None]
+    pos = near.shape[1] - 1 - np.argmax(near[:, ::-1], axis=1)
     # The float ratios are within an ulp of the exact ones, so the exact
-    # maximum is always a candidate; only a float tie pays for Fractions.
-    pos = candidates[0] if len(candidates) == 1 else max(
-        reversed(candidates), key=lambda i: Fraction(int(ranks[i]), int(ceils[i])))
-    return int(ranks[pos]), int(ceils[pos])
+    # maximum is always near; only a row with a float tie pays for Fractions.
+    for row in np.nonzero(np.count_nonzero(near, axis=1) > 1)[0].tolist():
+        pos[row] = max(reversed(np.nonzero(near[row])[0].tolist()),
+                       key=lambda i: Fraction(int(ranks[i]), int(ceils[row, i])))
+    found = best > 0.0
+    return (np.where(found, ranks[pos], 0).astype(np.int64),
+            np.where(found, ceils[np.arange(pos.size), pos], 0).astype(np.int64))
 
 
 @dataclass(frozen=True)
 class InformedAdversary:
     """Sees all null p-values; plants zeros to reach the FDP ceiling."""
 
-    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> tuple[int, dict]:
-        """Zero count for ascending nulls, and the CompletedStudy fields it sets."""
+    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> tuple[np.ndarray, dict]:
+        """Zero count per row of ascending nulls, and the CompletedStudy
+        fields it sets (one value per row)."""
         rank, ceiling = anchor_choice(nulls_sorted, n, alpha)
-        return min(max(ceiling - rank, 0), n1), {"anchor_rank": rank}
+        return np.clip(ceiling - rank, 0, n1), {"anchor_rank": rank}
 
 
 @dataclass(frozen=True)
 class MostAntiConservativeAdversary:
     """Plants exactly the zeros the most anti-conservative outcome rejects."""
 
-    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> tuple[int, dict]:
+    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> tuple[np.ndarray, dict]:
         rank, ceiling = anchor_choice(nulls_sorted, n, alpha, n1)
-        return max(ceiling - rank, 0), {"anchor_rank": rank}
+        return np.maximum(ceiling - rank, 0), {"anchor_rank": rank}
 
 
 @dataclass(frozen=True)
@@ -112,19 +118,19 @@ class BonferroniMaskedAdversary:
                 f"choose from {MASKED_STRATEGIES}"
             )
 
-    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> tuple[int, dict]:
-        if nulls_sorted.size < 2:
+    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> tuple[np.ndarray, dict]:
+        if nulls_sorted.shape[1] < 2:
             raise ValueError("masked construction needs at least two nulls")
-        zeros = self.zeros_from_upper(nulls_sorted[1:], n1, n, alpha)
+        zeros = self.zeros_from_upper(nulls_sorted[:, 1:], n1, n, alpha)
         return zeros, {"masked_zero_count": zeros}
 
-    def zeros_from_upper(self, upper: np.ndarray, n1: int, n: int, alpha: float) -> int:
-        """Zero count from the ascending nulls of ranks 2..n0."""
+    def zeros_from_upper(self, upper: np.ndarray, n1: int, n: int, alpha: float) -> np.ndarray:
+        """Zero count per row of ascending nulls of ranks 2..n0."""
         if self.strategy == "plug_in_second":
-            rank, ceiling = anchor_choice(np.concatenate([upper[:1], upper]), n, alpha)
+            rank, ceiling = anchor_choice(np.concatenate([upper[:, :1], upper], axis=1), n, alpha)
         else:
             rank, ceiling = anchor_choice(upper, n, alpha, first_rank=2)
-        return min(max(ceiling - rank, 0), n1)
+        return np.clip(ceiling - rank, 0, n1)
 
 
 @dataclass(frozen=True)
@@ -137,11 +143,11 @@ class FixedZerosAdversary:
         if int(self.zeros) < 0:
             raise ValueError("zero count must be nonnegative")
 
-    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> tuple[int, dict]:
+    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> tuple[np.ndarray, dict]:
         zeros = int(self.zeros)
         if zeros > n1:
             raise ValueError(f"cannot plant {zeros} zeros in {n1} non-null slots")
-        return zeros, {}
+        return np.full(nulls_sorted.shape[0], zeros, dtype=np.int64), {}
 
 
 AdversarySpec = Union[
@@ -184,12 +190,23 @@ def _checked_split(null_pvalues, n1: int, n: int) -> tuple[np.ndarray, int, int]
     return arr, int(n1), int(n)
 
 
+def _one_row(null_pvalues) -> np.ndarray:
+    return np.sort(_checked_nulls(null_pvalues))[None]
+
+
+def _plant_one(adversary: AdversarySpec, arr: np.ndarray, n1: int, n: int,
+               alpha: float) -> tuple[int, dict]:
+    """One study's zero count and CompletedStudy fields, as Python ints."""
+    zeros, fields = adversary.plant(np.sort(arr)[None], n1, n, alpha)
+    return int(zeros[0]), {key: int(value[0]) for key, value in fields.items()}
+
+
 def max_fdp_rank(null_pvalues, n: int, alpha: float) -> int:
     """Sorted-null rank maximizing ``j / ceil(n * p_(j) / alpha)``.
 
     Returns a 1-based rank; ties resolve to the largest rank.
     """
-    return anchor_choice(np.sort(_checked_nulls(null_pvalues)), int(n), alpha)[0]
+    return int(anchor_choice(_one_row(null_pvalues), int(n), alpha)[0][0])
 
 
 def feasible_max_fdp_rank(null_pvalues, n1: int, n: int, alpha: float) -> int:
@@ -198,7 +215,7 @@ def feasible_max_fdp_rank(null_pvalues, n1: int, n: int, alpha: float) -> int:
 
     Returns 0 when no rank is feasible.
     """
-    return anchor_choice(np.sort(_checked_nulls(null_pvalues)), int(n), alpha, int(n1))[0]
+    return int(anchor_choice(_one_row(null_pvalues), int(n), alpha, int(n1))[0][0])
 
 
 def informed_adversary(null_pvalues, n1: int, n: int, alpha: float) -> CompletedStudy:
@@ -218,7 +235,7 @@ def most_anti_conservative(null_pvalues, n1: int, n: int, alpha: float) -> Rejec
     completion place at least the required zeros right after the nulls).
     """
     arr, n1, n = _checked_split(null_pvalues, n1, n)
-    zeros, fields = MostAntiConservativeAdversary().plant(np.sort(arr), n1, n, alpha)
+    zeros, fields = _plant_one(MostAntiConservativeAdversary(), arr, n1, n, alpha)
     rank = fields["anchor_rank"]
     rejected = [*np.argsort(arr, kind="stable")[:rank], *range(arr.size, arr.size + zeros)]
     return RejectionOutcome(rejected, n_false=rank)
@@ -242,13 +259,13 @@ def masked_zero_count(upper_sorted_nulls, n: int, n1: int, alpha: float,
     arr = _checked_nulls(upper_sorted_nulls)
     if np.any(np.diff(arr) < 0.0):
         raise ValueError("upper null p-values must be sorted ascending")
-    return adversary.zeros_from_upper(arr, int(n1), int(n), alpha)
+    return int(adversary.zeros_from_upper(arr[None], int(n1), int(n), alpha)[0])
 
 
 def complete_study(null_pvalues, n1: int, n: int, alpha: float,
                    adversary: AdversarySpec) -> CompletedStudy:
     """Apply an adversary description to the given nulls."""
     arr, n1, n = _checked_split(null_pvalues, n1, n)
-    zeros, fields = adversary.plant(np.sort(arr), n1, n, alpha)
+    zeros, fields = _plant_one(adversary, arr, n1, n, alpha)
     pvalues = np.concatenate([arr, np.zeros(zeros), np.ones(n1 - zeros)])
     return CompletedStudy(PValueStudy(pvalues, np.arange(n) < arr.size), zeros, **fields)

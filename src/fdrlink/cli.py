@@ -31,6 +31,7 @@ from .experiments import (
     load_config,
     load_matrix,
     write_csv,
+    _is_existing_path,
     _render_csv,
 )
 
@@ -76,7 +77,7 @@ def _cmd_run(args) -> int:
                  "out_dir": args.out, "workers": args.workers}
     if args.target in PRESETS:
         cfg = load_config({"schema": 1, "preset": args.target}, overrides=overrides)
-    elif Path(args.target).exists():
+    elif _is_existing_path(args.target):
         cfg = load_config(Path(args.target), overrides=overrides)
     else:
         raise UnknownPresetError(

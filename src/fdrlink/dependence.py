@@ -2,11 +2,14 @@
 checks for positive-dependence conditions on Gaussian covariances.
 
 Generator specs are declarative, immutable descriptions; sampling is a pure
-function of ``(spec, seed)``. Null p-values are marginally Uniform(0, 1)
-under every Gaussian variant. Equicorrelated draws use the closed-form
-square root of the equicorrelation matrix (eigenvalues ``1 - rho`` and
-``1 + (n-1) * rho``), applied in O(n) per draw; a generic factorization is
-used only for arbitrary covariance matrices.
+function of ``(spec, seed)``. A spec draws ``rows`` studies at once as a
+row-major ``(rows, width)`` matrix whose rows are consecutive in the
+generator's stream: the matrix equals ``rows`` successive one-row draws, so
+splitting a draw into row chunks changes no value. Null p-values are
+marginally Uniform(0, 1) under every Gaussian variant. Equicorrelated draws
+use the closed-form square root of the equicorrelation matrix (eigenvalues
+``1 - rho`` and ``1 + (n-1) * rho``), applied in O(n) per draw; a generic
+factorization is used only for arbitrary covariance matrices.
 
 The normal CDF and quantile wrappers carry a contract of max absolute error
 at most 1e-12; they delegate to scipy's ``ndtr``/``ndtri``, which are
@@ -34,6 +37,8 @@ __all__ = [
     "sample",
     "sample_arrays",
     "sample_null_pvalues",
+    "sample_rows",
+    "sample_null_rows",
     "restrict_to_nulls",
     "equicorrelated_sqrt",
     "two_sided_from_one_sided",
@@ -103,13 +108,13 @@ class IidUniform:
     def n(self) -> int:
         return self.n0 + self.n1
 
-    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """One study as raw arrays ``(pvalues, null_mask)``."""
-        return rng.random(self.n), np.arange(self.n) < self.n0
+    def draw(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """`rows` studies as a ``(rows, n)`` p-value matrix and the null mask."""
+        return rng.random((rows, self.n)), np.arange(self.n) < self.n0
 
-    def draw_nulls(self, rng: np.random.Generator) -> np.ndarray:
-        """Only the null p-values (their marginal joint law)."""
-        return rng.random(self.n0)
+    def draw_nulls(self, rng: np.random.Generator, rows: int) -> np.ndarray:
+        """Only the null p-values (their marginal joint law), ``(rows, n0)``."""
+        return rng.random((rows, self.n0))
 
     def nulls_only(self) -> "IidUniform":
         """The generator of the null components alone."""
@@ -147,13 +152,15 @@ class EquicorrelatedNormal:
     def n(self) -> int:
         return self.n0 + self.n1
 
-    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        nulls = self.draw_nulls(rng)
-        alt = _pvalues_from_z(self.mu_alt + rng.standard_normal(self.n1), self.sided)
-        return np.concatenate([nulls, alt]), np.arange(self.n) < self.n0
+    def draw(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        # Per row: the null normals, then the non-null ones.
+        z = rng.standard_normal((rows, self.n))
+        z[:, :self.n0] = _equicorrelate(z[:, :self.n0], self.rho)
+        z[:, self.n0:] += self.mu_alt
+        return _pvalues_from_z(z, self.sided), np.arange(self.n) < self.n0
 
-    def draw_nulls(self, rng: np.random.Generator) -> np.ndarray:
-        return _pvalues_from_z(_equicorrelate(rng.standard_normal(self.n0), self.rho),
+    def draw_nulls(self, rng: np.random.Generator, rows: int) -> np.ndarray:
+        return _pvalues_from_z(_equicorrelate(rng.standard_normal((rows, self.n0)), self.rho),
                                self.sided)
 
     def nulls_only(self) -> "EquicorrelatedNormal":
@@ -214,12 +221,13 @@ class PrdnGaussian:
     def n1(self) -> int:
         return self.n - self.n0
 
-    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        z = self.mu + self._sqrt @ rng.standard_normal(self.n)
+    def draw(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        z = self.mu + _times_rows(self._sqrt, rng.standard_normal((rows, self.n)))
         return _pvalues_from_z(z, self.sided), np.isin(np.arange(self.n), self.null_idx)
 
-    def draw_nulls(self, rng: np.random.Generator) -> np.ndarray:
-        return _pvalues_from_z(self._null_sqrt @ rng.standard_normal(self.n0), self.sided)
+    def draw_nulls(self, rng: np.random.Generator, rows: int) -> np.ndarray:
+        return _pvalues_from_z(_times_rows(self._null_sqrt, rng.standard_normal((rows, self.n0))),
+                               self.sided)
 
     def nulls_only(self) -> "PrdnGaussian":
         idx = list(self.null_idx)
@@ -296,22 +304,22 @@ class BlockDependent:
     def n1(self) -> int:
         return self.n - self.n0
 
-    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    def draw(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
         if self.within == "identical":
-            p = np.repeat(rng.random(len(self.block_sizes)), self.block_sizes)
+            p = np.repeat(rng.random((rows, len(self.block_sizes))), self.block_sizes, axis=1)
         else:
-            z = rng.standard_normal(self.n)
+            z = rng.standard_normal((rows, self.n))
             for idx in self._groups:
-                z[idx] = _equicorrelate(z[idx], self.rho_w)
+                z[:, idx] = _equicorrelate(z[:, idx], self.rho_w)
             p = _pvalues_from_z(z + np.where(self.null_mask, 0.0, self.mu_alt), self.sided)
         return p, self.null_mask.copy()
 
-    def draw_nulls(self, rng: np.random.Generator) -> np.ndarray:
+    def draw_nulls(self, rng: np.random.Generator, rows: int) -> np.ndarray:
         """The nulls of a full draw of the blocks that hold one."""
         if self._held is None:
             raise ValueError("generator has no null components")
-        p, mask = self._held.draw(rng)
-        return p[mask]
+        p, mask = self._held.draw(rng, rows)
+        return p[:, mask]
 
     def nulls_only(self) -> "BlockDependent":
         if self._held is None:
@@ -340,12 +348,12 @@ class TwoSidedWrap:
     def n1(self) -> int:
         return self.inner.n1
 
-    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        p, mask = self.inner.draw(rng)
+    def draw(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        p, mask = self.inner.draw(rng, rows)
         return two_sided_from_one_sided(p), mask
 
-    def draw_nulls(self, rng: np.random.Generator) -> np.ndarray:
-        return two_sided_from_one_sided(self.inner.draw_nulls(rng))
+    def draw_nulls(self, rng: np.random.Generator, rows: int) -> np.ndarray:
+        return two_sided_from_one_sided(self.inner.draw_nulls(rng, rows))
 
     def nulls_only(self) -> "TwoSidedWrap":
         return TwoSidedWrap(self.inner.nulls_only())
@@ -353,6 +361,12 @@ class TwoSidedWrap:
 
 GeneratorSpec = Union[IidUniform, EquicorrelatedNormal, PrdnGaussian,
                       BlockDependent, TwoSidedWrap]
+
+
+def _times_rows(root: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``root @ z_i`` for each row: one matrix-vector product per row, because
+    a matrix product's rounding depends on how many rows it holds."""
+    return np.array([root @ row for row in z]).reshape(z.shape)
 
 
 def _psd_sqrt(sigma: np.ndarray) -> np.ndarray:
@@ -382,19 +396,31 @@ def equicorrelated_sqrt(n: int, rho: float) -> np.ndarray:
     return mat
 
 
+def sample_rows(spec: GeneratorSpec, rng: np.random.Generator,
+                rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw `rows` studies: a ``(rows, n)`` p-value matrix and the null mask."""
+    return spec.draw(rng, rows)
+
+
+def sample_null_rows(spec: GeneratorSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """Draw the null p-values of `rows` studies as a ``(rows, n0)`` matrix."""
+    return spec.draw_nulls(rng, rows)
+
+
 def sample_arrays(spec: GeneratorSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw one study as raw arrays ``(pvalues, null_mask)``."""
-    return spec.draw(rng)
+    p, mask = spec.draw(rng, 1)
+    return p[0], mask
 
 
 def sample_null_pvalues(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
     """Draw only the null p-values of `spec` (their marginal joint law)."""
-    return spec.draw_nulls(rng)
+    return spec.draw_nulls(rng, 1)[0]
 
 
 def sample(spec: GeneratorSpec, seed: int) -> PValueStudy:
     """Draw one study; deterministic given ``(spec, seed)``."""
-    return PValueStudy(*spec.draw(np.random.default_rng(int(seed) & _SEED_MASK)))
+    return PValueStudy(*sample_arrays(spec, np.random.default_rng(int(seed) & _SEED_MASK)))
 
 
 def restrict_to_nulls(spec: GeneratorSpec) -> GeneratorSpec:

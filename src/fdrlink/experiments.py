@@ -315,6 +315,15 @@ class ExperimentConfig:
                         workers=self.workers)
 
 
+def _is_existing_path(text: str) -> bool:
+    """Whether `text` names an existing file; text the OS refuses as a path
+    (a component over 255 characters, say) names none."""
+    try:
+        return Path(text).exists()
+    except OSError:
+        return False
+
+
 def load_config(source, *, env: Optional[Mapping[str, str]] = None,
                 overrides: Optional[Mapping] = None) -> ExperimentConfig:
     """Parse a config document (dict, JSON text, or file path).
@@ -329,7 +338,7 @@ def load_config(source, *, env: Optional[Mapping[str, str]] = None,
     else:
         text = str(source)
         # A config document is a JSON object; never probe the filesystem with one.
-        if not text.lstrip().startswith("{") and Path(text).exists():
+        if not text.lstrip().startswith("{") and _is_existing_path(text):
             text = Path(text).read_text()
         try:
             doc = json.loads(text)

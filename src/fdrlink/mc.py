@@ -3,20 +3,28 @@ empirical null-FDR curve, and the worst-case FDR limit constant.
 
 Reproducibility contract
 ------------------------
-Every replication draws from its own generator, seeded by a fixed 64-bit
-mixing function of ``(master_seed, replication_index)`` (SplitMix64 applied
-to ``master_seed + (index + 1) * 0x9E3779B97F4A7C15``). Replication values
-are assembled in index order and aggregated with exact compensated summation
-(``math.fsum``), so estimates are bit-identical for a fixed
-``(reps, master_seed)`` regardless of how replications are distributed over
-worker processes.
+Replications come in fixed blocks of ``BLOCK_REPS`` (256): block k holds
+replications ``256 k`` to ``256 k + 255``, and the last block holds what is
+left. Block k draws from one generator, ``PCG64(derive_seed(master_seed, k))``
+(see :func:`block_rng`), where ``derive_seed`` is a fixed 64-bit mixing
+function (SplitMix64 applied to ``master_seed + (k + 1) *
+0x9E3779B97F4A7C15``). The block's replications take their draws from that
+generator one after another, in replication order. A spec's row-wise draw of
+``r`` rows equals ``r`` successive one-row draws, so the engine's split of a
+block into row chunks (to bound memory) changes no value, and the first R
+values of a run are the values of a run with ``reps=R``. Values are
+assembled in replication order and aggregated with exact compensated
+summation (``math.fsum``), so estimates are bit-identical for a fixed
+``(reps, master_seed)`` whatever the number of worker processes, which
+receive contiguous ranges of whole blocks.
 
-Per-replication pipeline for FDR-type targets: sample the nulls, apply the
-adversary (or keep the generated non-nulls when no adversary is given), run
-the procedure, record the false discovery proportion. An adversary-completed
-study is [zeros, sorted nulls, ones] in sorted order, so the step count runs
-on the sorted nulls with the planted zeros as a rank offset. Rank, zero
-count, step count and Simes value come from ``adversaries`` and ``procedures``.
+Pipeline for FDR-type targets, row-wise over a chunk of replications: sample
+the nulls, apply the adversary (or keep the generated non-nulls when no
+adversary is given), run the procedure, record the false discovery
+proportion. An adversary-completed study is [zeros, sorted nulls, ones] in
+sorted order, so the step count runs on the sorted nulls with the planted
+zeros as a rank offset. Rank, zero count, step count and Simes value come
+from the row-wise kernels of ``adversaries`` and ``procedures``.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import numpy as np
 from .adversaries import (AdversarySpec, InformedAdversary, MostAntiConservativeAdversary,
                           anchor_choice)
 from .bounds import EmpiricalCurve, fdr_link_bound
-from .dependence import GeneratorSpec, restrict_to_nulls, sample_arrays, sample_null_pvalues
+from .dependence import GeneratorSpec, restrict_to_nulls, sample_null_rows, sample_rows
 from .procedures import simes_sorted, snap_ceil_array, step_count
 
 __all__ = [
@@ -39,6 +47,8 @@ __all__ = [
     "McEstimate",
     "LinkingReport",
     "PROCEDURES",
+    "BLOCK_REPS",
+    "block_rng",
     "derive_seed",
     "fdp_values",
     "estimate_fdr",
@@ -51,29 +61,47 @@ __all__ = [
 
 PROCEDURES = ("step_up", "step_down", "most_anti_conservative")
 
+BLOCK_REPS = 256
+
 _M64 = (1 << 64) - 1
 _LIMIT_J_MAX = 10**7
+# Row chunks hold about this many drawn values (512 KB of float64).
+_CHUNK_VALUES = 1 << 16
 
 
 def derive_seed(master_seed: int, index: int) -> int:
-    """SplitMix64 mix of the master seed and a replication index."""
+    """SplitMix64 mix of the master seed and an index; replication block k
+    is seeded with index k."""
     z = (int(master_seed) + (int(index) + 1) * 0x9E3779B97F4A7C15) & _M64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
     return z ^ (z >> 31)
 
 
+def block_rng(master_seed: int, block: int) -> np.random.Generator:
+    """The generator of replication block `block` (replications
+    ``block * BLOCK_REPS`` onwards) under the seeding contract."""
+    return np.random.Generator(np.random.PCG64(derive_seed(master_seed, block)))
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class McConfig:
-    """Replication count, master seed, and an advisory worker hint."""
+    """Replication count, master seed, and the most worker processes to use
+    (a run uses at most one per block, so a single-block run starts no pool)."""
 
     reps: int
     master_seed: int = 0
     workers: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if int(self.reps) < 1:
-            raise ValueError("reps must be >= 1")
+        if not _is_count(self.reps):
+            raise ValueError(f"reps must be an integer >= 1, got {self.reps!r}")
+        if self.workers is not None and not _is_count(self.workers):
+            raise ValueError(f"workers must be None or an integer >= 1, got {self.workers!r}")
 
 
 @dataclass(frozen=True)
@@ -110,6 +138,10 @@ class LinkingReport:
     slack: float
 
 
+# A task turns `count` consecutive rows of a block's generator into one value
+# each; `width` is about how many values a row draws, which sets the chunk.
+
+
 @dataclass(frozen=True)
 class _FdpTask:
     gen: GeneratorSpec
@@ -117,36 +149,52 @@ class _FdpTask:
     proc: str
     alpha: float
 
-    def one_rep(self, rng: np.random.Generator) -> float:
+    @property
+    def width(self) -> int:
+        return self.gen.n if self.adv is None else self.gen.n0
+
+    def rows(self, rng: np.random.Generator, count: int) -> np.ndarray:
         n, alpha = self.gen.n, self.alpha
         if self.adv is None:
-            p, mask = sample_arrays(self.gen, rng)
-            r = step_count(np.sort(p), n, alpha, self.proc)
-            return int(np.count_nonzero(p[mask] <= alpha * r / n)) / max(r, 1)
-        nulls_sorted = np.sort(sample_null_pvalues(self.gen, rng))
-        n1 = n - nulls_sorted.size
+            p, mask = sample_rows(self.gen, rng, count)
+            r = step_count(np.sort(p, axis=1), n, alpha, self.proc)
+            false = np.count_nonzero(p[:, mask] <= (alpha * r / n)[:, None], axis=1)
+            return false / np.maximum(r, 1)
+        nulls_sorted = sample_null_rows(self.gen, rng, count)
+        nulls_sorted.sort(axis=1)
+        n1 = n - nulls_sorted.shape[1]
         if self.proc == "most_anti_conservative":
             rank, ceiling = anchor_choice(nulls_sorted, n, alpha, n1)
-            return rank / max(ceiling, rank, 1)
+            return rank / np.maximum(np.maximum(ceiling, rank), 1)
         zeros, _ = self.adv.plant(nulls_sorted, n1, n, alpha)
         r = step_count(nulls_sorted, n, alpha, self.proc, offset=zeros)
-        return (r - zeros) / max(r, 1)
+        return (r - zeros) / np.maximum(r, 1)
 
 
 @dataclass(frozen=True)
 class _SimesTask:
     gen: GeneratorSpec
 
-    def one_rep(self, rng: np.random.Generator) -> float:
-        return simes_sorted(np.sort(sample_null_pvalues(self.gen, rng)))
+    @property
+    def width(self) -> int:
+        return self.gen.n0
+
+    def rows(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        nulls = sample_null_rows(self.gen, rng, count)
+        nulls.sort(axis=1)
+        return simes_sorted(nulls)
 
 
 @dataclass(frozen=True)
 class _LimitTask:
     alpha: float
     j_floor: int
+    width = 1  # a walk draws as it goes; chunking cannot change it
 
-    def one_rep(self, rng: np.random.Generator) -> float:
+    def rows(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        return np.array([self._walk(rng) for _ in range(count)])
+
+    def _walk(self, rng: np.random.Generator) -> float:
         total = 0.0
         done = 0
         best = 0.0
@@ -172,32 +220,32 @@ class _LimitTask:
             batch = min(done, _LIMIT_J_MAX - done)
 
 
-def _range_values(task, master_seed: int, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for idx in range(start, stop):
-        rng = np.random.Generator(np.random.PCG64(derive_seed(master_seed, idx)))
-        out[idx - start] = task.one_rep(rng)
-    return out
+def _block_values(task, master_seed: int, reps: int, first: int, stop: int) -> np.ndarray:
+    """Values of replications ``first * BLOCK_REPS`` up to
+    ``min(stop * BLOCK_REPS, reps)``, block by block, in row chunks."""
+    chunk = max(1, _CHUNK_VALUES // max(task.width, 1))
+    parts = []
+    for block in range(first, stop):
+        rng = block_rng(master_seed, block)
+        count = min(BLOCK_REPS, reps - block * BLOCK_REPS)
+        parts.extend(task.rows(rng, min(chunk, count - done))
+                     for done in range(0, count, chunk))
+    return np.concatenate(parts)
 
 
-def _range_worker(args) -> tuple[int, np.ndarray]:
-    task, master_seed, start, stop = args
-    return start, _range_values(task, master_seed, start, stop)
+def _block_worker(args) -> np.ndarray:
+    return _block_values(*args)
 
 
 def _replication_values(task, cfg: McConfig) -> np.ndarray:
-    reps = int(cfg.reps)
-    workers = cfg.workers or 1
-    if workers <= 1 or reps < 4 * workers:
-        return _range_values(task, cfg.master_seed, 0, reps)
-    edges = np.linspace(0, reps, workers + 1, dtype=int)
-    jobs = [(task, cfg.master_seed, int(a), int(b))
-            for a, b in zip(edges[:-1], edges[1:]) if a < b]
-    values = np.empty(reps)
+    blocks = -(-cfg.reps // BLOCK_REPS)
+    workers = min(cfg.workers or 1, blocks)
+    if workers == 1:
+        return _block_values(task, cfg.master_seed, cfg.reps, 0, blocks)
+    edges = np.linspace(0, blocks, workers + 1, dtype=int).tolist()
+    jobs = [(task, cfg.master_seed, cfg.reps, a, b) for a, b in zip(edges[:-1], edges[1:])]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for start, chunk in pool.map(_range_worker, jobs):
-            values[start:start + chunk.size] = chunk
-    return values
+        return np.concatenate(list(pool.map(_block_worker, jobs)))
 
 
 def fdp_values(gen: GeneratorSpec, adv: Optional[AdversarySpec], proc: str,

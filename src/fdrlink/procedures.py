@@ -6,18 +6,19 @@ Numerical conventions
 ---------------------
 * Procedure thresholds compare p-values against ``alpha * j / n`` with plain
   binary floating-point comparison; no epsilon is added.
-* Quantities of the form ``ceil(n * p / alpha)`` go through :func:`snap_ceil`,
-  a ceiling that snaps values within one ulp of an integer before rounding
-  up; this keeps rejection counts consistent with the float threshold
-  comparisons and avoids ``ceil(2.0000000000000004) == 3`` artifacts.
-  Ratios of these integer counts are then exact rationals.
+* The rejection count a p-value needs, ``ceil(n * p / alpha)``, is computed
+  by :func:`threshold_ceil` as the smallest ``c >= 1`` with
+  ``p <= alpha * c / n``: the very comparison the step procedures make, so
+  the two never disagree, even within an ulp of a threshold. Ratios of these
+  integer counts are then exact rationals.
+* Kernels are row-wise: each row of a ``(rows, m)`` matrix of ascending
+  p-values is one study, and the scalar functions are one-row calls.
 * Ties among equal p-values are broken by original index (stable sort), so
   rejection sets are deterministic.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -35,8 +36,8 @@ __all__ = [
     "simes_rejects",
     "fdp_upper_bound",
     "min_rejections_for",
-    "snap_ceil",
     "snap_ceil_array",
+    "threshold_ceil",
 ]
 
 
@@ -56,50 +57,51 @@ def _check_nulls(null_pvalues) -> np.ndarray:
     return arr
 
 
-def snap_ceil(x: float) -> int:
-    """Ceiling with a guard that snaps values within one ulp of an integer.
+def snap_ceil_array(x: np.ndarray) -> np.ndarray:
+    """Ceiling with a guard that snaps values within one ulp of an integer,
+    elementwise; returns integer-valued floats.
 
     Prevents ``ceil(2.0000000000000004) == 3`` artifacts when the argument
     was produced by a float multiply/divide chain.
     """
-    nearest = round(x)
-    if abs(x - nearest) <= math.ulp(x):
-        return int(nearest)
-    return int(math.ceil(x))
-
-
-def snap_ceil_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`snap_ceil`; returns integer-valued floats."""
     nearest = np.rint(x)
     return np.where(np.abs(x - nearest) <= np.spacing(x), nearest, np.ceil(x))
 
 
-def min_rejections_for(pvalue: float, n: int, alpha: float) -> int:
-    """Smallest rejection count R for which ``pvalue <= alpha * R / n``.
+def threshold_ceil(p: np.ndarray, n: int, alpha: float) -> np.ndarray:
+    """Elementwise smallest ``c >= 1`` with ``p <= alpha * c / n`` in floats,
+    as integer-valued floats: the ceiling of ``n * p / alpha``, corrected by
+    one where that comparison disagrees with it (the float ceiling is off by
+    at most one, e.g. ``ceil(2.0000000000000004) == 3``)."""
+    c = np.ceil(p * (n / alpha))
+    np.maximum(c, 1.0, out=c)
+    c += p > alpha * c / n
+    c -= (p <= alpha * (c - 1.0) / n) & (c > 1.0)
+    return c
 
-    Computed as ``ceil(n * pvalue / alpha)`` with the same guarded ceiling as
-    the Monte Carlo paths, which keeps it consistent with the float threshold
-    comparisons the procedures use (e.g. a p-value of 0.5 at ``alpha * 5 / 6``
-    when ``0.6 * 5`` rounds to exactly 3.0).
-    """
+
+def min_rejections_for(pvalue: float, n: int, alpha: float) -> int:
+    """Smallest rejection count R for which ``pvalue <= alpha * R / n``, the
+    comparison the step procedures make (see :func:`threshold_ceil`)."""
     if pvalue <= 0.0:
         raise ValueError("min_rejections_for requires a positive p-value")
-    return max(snap_ceil(int(n) * pvalue / alpha), 1)
+    return int(threshold_ceil(np.array([float(pvalue)]), int(n), alpha)[0])
 
 
 def step_count(sorted_p: np.ndarray, n: int, alpha: float, proc: str,
-               offset: int = 0) -> int:
-    """Rejection count of a step procedure on a size-`n` study whose `offset`
-    smallest p-values pass (planted zeros), whose next are the ascending
-    `sorted_p` and whose rest fail (ones). Position j passes iff
-    ``p_(j) <= alpha * j / n``; step-up takes the last passing position,
-    step-down the end of the leading run of them."""
-    ok = sorted_p <= alpha * (offset + 1 + np.arange(sorted_p.size)) / n
+               offset=0) -> np.ndarray:
+    """Row-wise rejection count of a step procedure on size-`n` studies whose
+    `offset` smallest p-values pass (planted zeros; a scalar or one per row),
+    whose next are the ascending rows of `sorted_p` and whose rest fail
+    (ones). Position j passes iff ``p_(j) <= alpha * j / n``; step-up takes
+    the last passing position, step-down the end of the leading run."""
+    m = sorted_p.shape[1]
+    offset = np.asarray(offset, dtype=np.int64)
+    ok = sorted_p <= alpha * (offset[..., None] + np.arange(1.0, m + 1)) / n
     if proc == "step_up":
-        passing = np.nonzero(ok)[0]
-        return offset + int(passing[-1]) + 1 if passing.size else offset
+        return offset + np.where(ok.any(axis=1), m - np.argmax(ok[:, ::-1], axis=1), 0)
     if proc == "step_down":
-        return offset + sorted_p.size if ok.all() else offset + int(np.argmin(ok))
+        return offset + np.where(ok.all(axis=1), m, np.argmin(ok, axis=1))
     raise ValueError(f"unknown procedure {proc!r}")
 
 
@@ -107,7 +109,7 @@ def _step_outcome(study: PValueStudy, alpha: float, proc: str) -> RejectionOutco
     # Both procedures reject exactly the p-values at or below alpha * R / n:
     # the R smallest all lie there and every larger one fails its threshold.
     alpha = _check_alpha(alpha)
-    r = step_count(np.sort(study.pvalues), study.n, alpha, proc)
+    r = int(step_count(np.sort(study.pvalues)[None], study.n, alpha, proc)[0])
     return RejectionOutcome.from_indices(study, np.nonzero(study.pvalues <= alpha * r / study.n)[0])
 
 
@@ -136,9 +138,11 @@ def is_compliant(study: PValueStudy, outcome: RejectionOutcome, alpha: float) ->
     return bool(np.all(study.pvalues[idx] <= cutoff))
 
 
-def simes_sorted(sorted_p: np.ndarray) -> float:
-    """Simes combination ``min(min_j n0 * p_(j) / j, 1)`` of ascending nulls."""
-    return float(min(np.min(sorted_p.size * sorted_p / np.arange(1, sorted_p.size + 1)), 1.0))
+def simes_sorted(sorted_p: np.ndarray) -> np.ndarray:
+    """Row-wise Simes combination ``min(min_j n0 * p_(j) / j, 1)`` of a
+    ``(rows, n0)`` matrix of ascending nulls."""
+    n0 = sorted_p.shape[1]
+    return np.minimum(np.min(n0 * sorted_p / np.arange(1, n0 + 1), axis=1), 1.0)
 
 
 def simes_pvalue(null_pvalues: Sequence[float]) -> float:
@@ -147,7 +151,7 @@ def simes_pvalue(null_pvalues: Sequence[float]) -> float:
     Never exceeds 1 for inputs in [0, 1] because the last term is ``p_(n0)``;
     the value is clamped anyway to guard against rounding.
     """
-    return simes_sorted(np.sort(_check_nulls(null_pvalues)))
+    return float(simes_sorted(np.sort(_check_nulls(null_pvalues))[None])[0])
 
 
 def simes_rejects(null_pvalues: Sequence[float], x: float) -> bool:
@@ -172,5 +176,5 @@ def fdp_upper_bound(null_pvalues: Sequence[float], n: int, alpha: float) -> Frac
     n = int(n)
     if n < arr.size:
         raise ValueError("n must be at least the number of null p-values")
-    rank, ceiling = anchor_choice(np.sort(arr), n, alpha)
-    return min(Fraction(rank, ceiling), Fraction(1))
+    rank, ceiling = anchor_choice(np.sort(arr)[None], n, alpha)
+    return min(Fraction(int(rank[0]), int(ceiling[0])), Fraction(1))

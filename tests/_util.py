@@ -10,7 +10,7 @@ from itertools import combinations
 import numpy as np
 
 from fdrlink import (FixedZerosAdversary, InformedAdversary, MostAntiConservativeAdversary,
-                     PValueStudy, RejectionOutcome, min_rejections_for)
+                     PValueStudy, RejectionOutcome)
 
 # Asymptotic Kolmogorov-Smirnov critical coefficient at the 1% level:
 # sqrt(-0.5 * ln(0.005)). Critical distance = KS_COEFF_1PCT / sqrt(n).
@@ -25,13 +25,26 @@ def ks_distance_uniform(samples) -> float:
     return float(max(np.max(grid - x), np.max(x - (grid - 1.0 / n))))
 
 
+def threshold_ceil_oracle(p: float, n: int, alpha: float) -> int:
+    """Smallest c >= 1 with ``p <= alpha * c / n`` in floats, by scanning that
+    comparison from the exact ceiling of ``n * p / alpha`` (it is monotone in
+    c, so the scan walks to the first passing c)."""
+    exact = Fraction(n) * Fraction(p) / Fraction(alpha)
+    c = max(-(-exact.numerator // exact.denominator), 1)
+    while c > 1 and p <= alpha * (c - 1) / n:
+        c -= 1
+    while p > alpha * c / n:
+        c += 1
+    return c
+
+
 def anchor_oracle(nulls_sorted, n: int, alpha: float, n1=None, first_rank: int = 1):
     """``(rank, ceiling)`` with the largest exact ratio ``rank / ceiling``,
     ties to the largest rank, over ranks whose zero count fits in `n1` (when
     given); ``(0, 0)`` when none does. A zero p-value has ceiling 1."""
     best = (0, 0)
     for j, p in enumerate(nulls_sorted, start=first_rank):
-        c = min_rejections_for(float(p), n, alpha) if p > 0.0 else 1
+        c = threshold_ceil_oracle(float(p), n, alpha)
         if (n1 is None or c - j <= n1) and (best == (0, 0) or Fraction(j, c) >= Fraction(*best)):
             best = (j, c)
     return best

@@ -62,8 +62,10 @@ def _boundary_nulls(draw):
 @given(_boundary_nulls())
 def test_anchor_kernel_matches_exact_oracle(case):
     nulls, n, alpha, n1, first_rank = case
-    assert anchor_choice(np.array(nulls), n, alpha, n1, first_rank) == \
-        anchor_oracle(nulls, n, alpha, n1, first_rank)
+    # The row sits between two others, so a row-wise slip would show.
+    rows = np.array([np.full(len(nulls), 0.5), nulls, np.linspace(0.01, 1.0, len(nulls))])
+    ranks, ceilings = anchor_choice(rows, n, alpha, n1, first_rank)
+    assert (int(ranks[1]), int(ceilings[1])) == anchor_oracle(nulls, n, alpha, n1, first_rank)
 
 
 class TestMaxFdpRank:

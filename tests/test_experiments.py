@@ -93,6 +93,10 @@ class TestConfigParsing:
         text = json.dumps({"schema": 1, "preset": "E4", "name": "x" * 300})
         assert load_config(text, env={}).name == "x" * 300
 
+    def test_long_name_is_not_a_path(self):
+        with pytest.raises(ConfigError):
+            load_config("x" * 300, env={})
+
 
 class TestOutputs:
     def test_csv_format(self, tmp_path):
@@ -245,6 +249,11 @@ class TestCli:
 
     def test_unknown_preset_exit_code(self, capsys):
         assert main(["run", "E99"]) == 3
+
+    def test_long_target_is_an_unknown_preset(self, capsys):
+        # Probing a 300-character name as a path raises ENAMETOOLONG.
+        assert main(["run", "x" * 300]) == 3
+        assert "neither a preset" in capsys.readouterr().err
 
     def test_malformed_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

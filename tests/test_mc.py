@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from fdrlink import (
     BlockDependent,
@@ -18,7 +19,9 @@ from fdrlink import (
     McConfig,
     MostAntiConservativeAdversary,
     McEstimate,
+    PrdnGaussian,
     PValueStudy,
+    TwoSidedWrap,
     bh_step_down,
     bh_step_up,
     complete_study,
@@ -35,8 +38,10 @@ from fdrlink import (
     sample_null_pvalues,
     verify_linking,
 )
+import fdrlink.mc as mc
 from fdrlink.adversaries import anchor_choice
 from fdrlink.dependence import sample_arrays
+from fdrlink.mc import BLOCK_REPS, block_rng
 
 from _util import (
     KS_COEFF_1PCT,
@@ -47,9 +52,14 @@ from _util import (
 )
 
 
-def _rep_rng(master_seed: int, idx: int) -> np.random.Generator:
-    """The generator of replication `idx` under the seeding contract."""
-    return np.random.Generator(np.random.PCG64(derive_seed(master_seed, idx)))
+def _replication_rngs(master_seed: int, reps: int):
+    """The generator of each replication, in replication order, under the
+    seeding contract: a block's replications draw one after another from
+    its generator, so each must be drawn before the next is asked for."""
+    for block in range(-(-reps // BLOCK_REPS)):
+        rng = block_rng(master_seed, block)
+        for _ in range(min(BLOCK_REPS, reps - block * BLOCK_REPS)):
+            yield rng
 
 
 class TestSeeding:
@@ -70,21 +80,120 @@ class TestSeeding:
         assert a == b
 
     def test_worker_count_does_not_change_results(self):
-        serial = McConfig(reps=400, master_seed=5, workers=1)
-        parallel = McConfig(reps=400, master_seed=5, workers=3)
+        # Three blocks, one per worker.
+        reps = 2 * BLOCK_REPS + 3
+        serial = McConfig(reps=reps, master_seed=5, workers=1)
+        parallel = McConfig(reps=reps, master_seed=5, workers=3)
         gen = IidUniform(15, 30)
         adv = InformedAdversary()
+        assert np.array_equal(fdp_values(gen, adv, "step_up", 0.1, serial),
+                              fdp_values(gen, adv, "step_up", 0.1, parallel))
         a = estimate_fdr(gen, adv, "step_up", 0.1, serial)
         b = estimate_fdr(gen, adv, "step_up", 0.1, parallel)
         assert a.mean == b.mean and a.stderr == b.stderr
+
+    @pytest.mark.parametrize("gen,adv", [
+        (EquicorrelatedNormal(30, 60, 0.3), InformedAdversary()),
+        # 2040 values a row: a block is drawn in row chunks of 32.
+        (EquicorrelatedNormal(40, 2000, 0.2, mu_alt=3.0), None),
+    ], ids=["equi-informed", "equi-none-chunked"])
+    def test_prefix(self, gen, adv):
+        reps = 100
+        short = fdp_values(gen, adv, "step_up", 0.1, McConfig(reps, 3))
+        longer = fdp_values(gen, adv, "step_up", 0.1, McConfig(reps + BLOCK_REPS + 7, 3))
+        assert np.array_equal(short, longer[:reps])
+
+    def test_row_chunks_change_no_value(self, monkeypatch):
+        cfg = McConfig(BLOCK_REPS + 50, 3)
+        for gen, adv in ((EquicorrelatedNormal(40, 2000, 0.2, mu_alt=3.0), None),
+                         (IidUniform(3000, 100), InformedAdversary())):
+            # 2040 and 3000 values a row: chunks of 32 and 21 rows.
+            chunked = fdp_values(gen, adv, "step_up", 0.1, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(mc, "_CHUNK_VALUES", 1 << 30)
+                assert np.array_equal(chunked, fdp_values(gen, adv, "step_up", 0.1, cfg))
+
+    def test_pool_needs_two_blocks(self, monkeypatch):
+        started = []
+
+        class CountingPool(mc.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", CountingPool)
+        gen = IidUniform(5, 0)
+        estimate_fdr(gen, None, "step_up", 0.1, McConfig(BLOCK_REPS, 0, workers=4))
+        assert started == []
+        estimate_fdr(gen, None, "step_up", 0.1, McConfig(BLOCK_REPS + 1, 0, workers=4))
+        assert started == [{"max_workers": 2}]
 
     def test_reps_one_degenerate_stderr(self):
         est = estimate_fdr(IidUniform(5, 0), None, "step_up", 0.2, McConfig(1, 3))
         assert est.stderr == 0.0 and est.stderr_degenerate
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            McConfig(reps=0)
+        for reps in (0, -1, 2.5, True, "3", None):
+            with pytest.raises(ValueError, match="reps"):
+                McConfig(reps=reps)
+        for workers in (0, -3, 1.5, True, "2"):
+            with pytest.raises(ValueError, match="workers"):
+                McConfig(reps=10, workers=workers)
+        assert McConfig(10, workers=None).workers is None
+
+
+_DRAW_SPECS = {
+    "iid": IidUniform(5, 3),
+    "equi-nonnull": EquicorrelatedNormal(150, 4, 0.3, mu_alt=1.5),
+    "equi-two-sided": EquicorrelatedNormal(5, 2, -0.1, "two"),
+    "prdn": PrdnGaussian(np.array([[1.0, 0.4, 0.2], [0.4, 1.0, 0.3], [0.2, 0.3, 1.0]]), (0, 2),
+                         np.array([0.0, 2.0, 0.0])),
+    "block-identical": BlockDependent((2, 1, 3), null_mask=[True, False, True, True, False,
+                                                            True]),
+    "block-equi-partial": BlockDependent((3, 2, 4, 1), "equicorrelated", 0.5,
+                                         [True, False, False, False, True, True, False,
+                                          True, True, False], 1.2),
+    "wrap-block": TwoSidedWrap(BlockDependent((2, 3), "equicorrelated", 0.6)),
+}
+
+
+@pytest.mark.parametrize("spec", _DRAW_SPECS.values(), ids=_DRAW_SPECS.keys())
+def test_row_draws_are_successive_one_row_draws(spec):
+    rows = 9
+    p, mask = spec.draw(np.random.default_rng(3), rows)
+    rng = np.random.default_rng(3)
+    singles = [spec.draw(rng, 1) for _ in range(rows)]
+    assert p.shape == (rows, spec.n)
+    assert np.array_equal(p, np.vstack([row for row, _ in singles]))
+    assert all(np.array_equal(mask, m) for _, m in singles)
+    nulls = spec.draw_nulls(np.random.default_rng(4), rows)
+    rng = np.random.default_rng(4)
+    assert nulls.shape == (rows, spec.n0)
+    assert np.array_equal(nulls, np.vstack([spec.draw_nulls(rng, 1) for _ in range(rows)]))
+
+
+def _single_draw_reference(spec, rng) -> np.ndarray:
+    """One study as a single draw has always made it: the nulls' normals
+    drawn and transformed on their own, then the non-nulls'."""
+    if isinstance(spec, IidUniform):
+        return rng.random(spec.n)
+    if isinstance(spec, PrdnGaussian):
+        return ndtr(-(spec.mu + spec._sqrt @ rng.standard_normal(spec.n)))
+    z0 = rng.standard_normal(spec.n0)
+    if spec.rho != 0.0:
+        a, b = math.sqrt(1.0 - spec.rho), math.sqrt(1.0 + (spec.n0 - 1) * spec.rho)
+        z0 = a * z0 + (b - a) * z0.mean()
+    z = np.concatenate([z0, spec.mu_alt + rng.standard_normal(spec.n1)])
+    return ndtr(-z) if spec.sided == "one" else 2.0 * ndtr(-np.abs(z))
+
+
+@pytest.mark.parametrize("label", ["iid", "equi-nonnull", "equi-two-sided", "prdn"])
+def test_one_row_draw_is_the_single_draw(label):
+    # Block draws are checked against a per-block loop in test_dependence.
+    spec = _DRAW_SPECS[label]
+    for seed in range(5):
+        p, _ = sample_arrays(spec, np.random.default_rng(seed))
+        assert np.array_equal(p, _single_draw_reference(spec, np.random.default_rng(seed)))
 
 
 class TestFastPathConsistency:
@@ -106,8 +215,8 @@ class TestFastPathConsistency:
         gen = EquicorrelatedNormal(8, 20, 0.3)
         alpha = 0.15
         values = fdp_values(gen, adv, proc, alpha, McConfig(120, 777))
-        for idx, fast in enumerate(values):
-            nulls = np.sort(sample_null_pvalues(gen, _rep_rng(777, idx)))
+        for fast, rng in zip(values, _replication_rngs(777, 120)):
+            nulls = np.sort(sample_null_pvalues(gen, rng))
             expected = completed_fdp_oracle(adv, nulls.tolist(), gen.n1, gen.n, alpha, proc)
             completed = complete_study(nulls, gen.n1, gen.n, alpha, adv)
             assert fast == float(expected) and reference(completed.study, alpha).fdp == expected
@@ -117,8 +226,8 @@ class TestFastPathConsistency:
         alpha = 0.2
         values = fdp_values(gen, InformedAdversary(), "most_anti_conservative", alpha,
                             McConfig(150, 42))
-        for idx, fast in enumerate(values):
-            nulls = np.sort(sample_null_pvalues(gen, _rep_rng(42, idx)))
+        for fast, rng in zip(values, _replication_rngs(42, 150)):
+            nulls = np.sort(sample_null_pvalues(gen, rng))
             rank, c = anchor_oracle(nulls.tolist(), gen.n, alpha, gen.n1)
             assert fast == (float(min(Fraction(rank, c), 1)) if rank else 0.0)
 
@@ -126,8 +235,8 @@ class TestFastPathConsistency:
         gen = EquicorrelatedNormal(10, 5, 0.2, mu_alt=1.5)
         for proc in ("step_up", "step_down"):
             values = fdp_values(gen, None, proc, 0.25, McConfig(100, 9))
-            for idx, fast in enumerate(values):
-                study = PValueStudy(*sample_arrays(gen, _rep_rng(9, idx)))
+            for fast, rng in zip(values, _replication_rngs(9, 100)):
+                study = PValueStudy(*sample_arrays(gen, rng))
                 assert fast == float(step_fdp_oracle(study, 0.25, proc))
 
     def test_most_anti_needs_matching_adversary(self):
@@ -144,8 +253,8 @@ class _FixedNulls(IidUniform):
 
     nulls: tuple = ()
 
-    def draw_nulls(self, rng) -> np.ndarray:
-        return np.array(self.nulls)
+    def draw_nulls(self, rng, rows) -> np.ndarray:
+        return np.tile(self.nulls, (rows, 1))
 
 
 @pytest.mark.filterwarnings("error")
@@ -153,9 +262,13 @@ class TestZeroNulls:
     """rng.random() can return 0.0: a zero null has FDP ceiling 1."""
 
     def test_kernel_floors_ceilings_at_one(self):
-        assert anchor_choice(np.array([0.0, 0.0, 0.5]), 10, 0.1) == (2, 1)
-        assert anchor_choice(np.array([0.0, 0.0, 0.5]), 10, 0.1, n1=7) == (2, 1)
-        assert anchor_choice(np.array([0.0, 0.5]), 10, 0.1, first_rank=2) == (2, 1)
+        def one(nulls, **kwargs):
+            ranks, ceilings = anchor_choice(np.array([nulls]), 10, 0.1, **kwargs)
+            return int(ranks[0]), int(ceilings[0])
+
+        assert one([0.0, 0.0, 0.5]) == (2, 1)
+        assert one([0.0, 0.0, 0.5], n1=7) == (2, 1)
+        assert one([0.0, 0.5], first_rank=2) == (2, 1)
 
     @pytest.mark.parametrize("nulls", [(0.0, 0.5, 0.7), (0.0, 0.0, 0.5)])
     def test_one_replication(self, nulls):
@@ -207,8 +320,8 @@ class TestFdrEstimates:
         alpha = 0.15
         for adv in (InformedAdversary(), BonferroniMaskedAdversary("plug_in_second")):
             values = fdp_values(gen, adv, "step_up", alpha, McConfig(200, 23))
-            for idx, fdp in enumerate(values):
-                nulls = sample_null_pvalues(gen, _rep_rng(23, idx))
+            for fdp, rng in zip(values, _replication_rngs(23, 200)):
+                nulls = sample_null_pvalues(gen, rng)
                 assert fdp <= float(fdp_upper_bound(nulls, gen.n, alpha)) + 1e-15
 
     def test_masked_envelope(self):

@@ -18,7 +18,7 @@ from fdrlink import (
     simes_pvalue,
     simes_rejects,
 )
-from fdrlink.procedures import snap_ceil, snap_ceil_array
+from fdrlink.procedures import snap_ceil_array, step_count, threshold_ceil
 
 from _util import (
     brute_force_max_fdp,
@@ -26,6 +26,7 @@ from _util import (
     random_study,
     step_down_r_oracle,
     step_up_r_oracle,
+    threshold_ceil_oracle,
 )
 
 
@@ -190,9 +191,6 @@ class TestSimes:
 
 class TestCeilings:
     def test_snap_ceil_repairs_ulp_artifacts(self):
-        assert snap_ceil(2.0000000000000004) == 2
-        assert snap_ceil(2.1) == 3
-        assert snap_ceil(3.0) == 3
         arr = snap_ceil_array(np.array([2.0000000000000004, 2.1, 5.0]))
         assert list(arr) == [2.0, 3.0, 5.0]
 
@@ -217,6 +215,60 @@ class TestCeilings:
     def test_zero_pvalue_rejected(self):
         with pytest.raises(ValueError):
             min_rejections_for(0.0, 10, 0.1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_ceiling_agrees_with_the_threshold_comparison(self, data):
+        # p-values within two ulps of alpha * j / n, at small n with mixed
+        # levels and where n * p / alpha is near 1e9. The ceiling must be the
+        # smallest c with p <= alpha * c / n, so that step_count rejects the
+        # null at exactly c.
+        if data.draw(st.booleans()):
+            n = data.draw(st.integers(1, 1999))
+            alpha = data.draw(st.sampled_from([0.01, 0.05, 0.1, 0.3, 0.6]) | st.floats(1e-3, 0.999))
+        else:
+            n = data.draw(st.integers(10**6, 2 * 10**9))
+            alpha = data.draw(st.sampled_from([1e-3, 2e-4, 0.05]))
+        hi = max(1, min(10**9, int(n / alpha)))
+        js = data.draw(st.lists(st.integers(1, hi) | st.integers(max(1, hi - 3), hi),
+                                min_size=1, max_size=8))
+        p = np.array([_ulp_shift(min(alpha * j / n, 1.0), data.draw(st.integers(-2, 2)))
+                      for j in js])
+        expected = [threshold_ceil_oracle(float(x), n, alpha) for x in p]
+        assert threshold_ceil(p, n, alpha).tolist() == expected
+        assert [min_rejections_for(float(x), n, alpha) for x in p] == expected
+        for x, c in zip(p.tolist(), expected):
+            if c <= n:  # one null after c - 1 planted zeros passes exactly at rank c
+                row = np.array([[x]])
+                assert step_count(row, n, alpha, "step_up", offset=c - 1)[0] == c
+                if c >= 2:
+                    assert step_count(row, n, alpha, "step_up", offset=c - 2)[0] == c - 2
+
+    def test_ceiling_near_thresholds_scripted(self):
+        # 20000 p-values within two ulps of alpha * j / n (n < 2000, mixed
+        # alpha), where the snapped ceiling alone disagrees with the
+        # comparison on thousands.
+        rng = np.random.default_rng(108)
+        size = 20_000
+        n = rng.integers(1, 2000, size)
+        alpha = rng.choice([0.01, 0.05, 0.1, 0.15, 0.3, 0.6], size)
+        p = np.minimum(alpha * np.ceil(rng.random(size) * n) / n, 1.0)
+        k = rng.integers(-2, 3, size)
+        for step in (1, 2):
+            p = np.where(k >= step, np.nextafter(p, 2.0),
+                         np.where(k <= -step, np.nextafter(p, 0.0), p))
+        p = np.minimum(p, 1.0)
+        snapped = np.maximum(snap_ceil_array(n * p / alpha), 1.0)
+        assert np.count_nonzero(p > alpha * snapped / n) > 1000
+        c = threshold_ceil(p, n, alpha)
+        assert np.all(p <= alpha * c / n)
+        assert np.all((c == 1) | (p > alpha * (c - 1) / n))
+
+
+def _ulp_shift(x: float, k: int) -> float:
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, 2.0 if k > 0 else 0.0))
+    return min(x, 1.0)
 
 
 class TestFdpUpperBound:
