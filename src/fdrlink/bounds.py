@@ -164,25 +164,25 @@ def prdn_bound_pi0(pi0: float, alpha: float) -> float:
     return t + t * math.log(1.0 / t)
 
 
+_HARMONIC_CUTOFF = 10**6
+_EULER_GAMMA = 0.57721566490153286061
+
+
 @lru_cache(maxsize=256)
 def harmonic(n: int) -> float:
     """n-th harmonic number ``1 + 1/2 + ... + 1/n``.
 
-    Summed in chunks with numpy's pairwise reduction and combined with
-    ``math.fsum`` (exact compensated addition), accurate to a relative error
-    of a few 1e-16 up to n = 1e9.
+    Up to n = 1e6 the terms are summed with numpy's pairwise reduction; above
+    it, ``log(n) + gamma + 1/(2n) - 1/(12n^2)`` (Euler-Maclaurin) is used,
+    whose next term, ``1/(120n^4)``, is below 1e-25. Both are accurate to a
+    relative error of a few 1e-16.
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"harmonic number needs n >= 1, got {n}")
-    chunk = 10_000_000
-    partials = []
-    lo = 1
-    while lo <= n:
-        hi = min(lo + chunk - 1, n)
-        partials.append(np.sum(1.0 / np.arange(lo, hi + 1, dtype=float)))
-        lo = hi + 1
-    return math.fsum(partials)
+    if n <= _HARMONIC_CUTOFF:
+        return float(np.sum(1.0 / np.arange(1, n + 1, dtype=float)))
+    return math.fsum((math.log(n), _EULER_GAMMA, 0.5 / n, -1.0 / (12.0 * n * n)))
 
 
 def log_correction_bound(n: int, pi0: float, alpha: float) -> float:

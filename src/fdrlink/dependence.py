@@ -13,7 +13,9 @@ factorization is used only for arbitrary covariance matrices.
 
 The normal CDF and quantile wrappers carry a contract of max absolute error
 at most 1e-12; they delegate to scipy's ``ndtr``/``ndtri``, which are
-accurate to machine precision.
+accurate to machine precision. scipy is imported on the first Gaussian draw
+or wrapper call, not with this module, so a process that draws only uniform
+p-values never loads it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .study import PValueStudy
 
@@ -57,11 +58,13 @@ _SEED_MASK = (1 << 64) - 1
 
 def normal_cdf(x):
     """Standard normal CDF (max absolute error <= 1e-12)."""
+    from scipy.special import ndtr
     return ndtr(x)
 
 
 def normal_quantile(p):
     """Standard normal quantile (max absolute error <= 1e-12)."""
+    from scipy.special import ndtri
     return ndtri(p)
 
 
@@ -77,6 +80,7 @@ def _check_sided(sided: str) -> None:
 
 
 def _pvalues_from_z(z: np.ndarray, sided: str) -> np.ndarray:
+    from scipy.special import ndtr
     if sided == "one":
         return ndtr(-z)
     return 2.0 * ndtr(-np.abs(z))

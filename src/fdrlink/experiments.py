@@ -305,14 +305,28 @@ class ExperimentConfig:
         for g in self.gamma_grid:
             if not 0.0 < g < 1.0:
                 raise ConfigError(f"gamma grid values must lie in (0, 1), got {g}")
-        if int(self.reps) < 1:
-            raise ConfigError("reps must be >= 1")
-        if self.workers is not None and (type(self.workers) is not int or self.workers < 1):
+        if not _is_int(self.reps) or self.reps < 1:
+            raise ConfigError(f"reps must be an integer >= 1, got {self.reps!r}")
+        if not _is_int(self.master_seed):
+            raise ConfigError(f"master_seed must be an integer, got {self.master_seed!r}")
+        if self.workers is not None and (not _is_int(self.workers) or self.workers < 1):
             raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
 
     def mc(self) -> McConfig:
-        return McConfig(reps=int(self.reps), master_seed=int(self.master_seed),
-                        workers=self.workers)
+        return McConfig(reps=self.reps, master_seed=self.master_seed, workers=self.workers)
+
+
+def _is_int(value) -> bool:
+    """A plain integer: ``2.5``, ``"3"`` and ``True`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _grid(doc: Mapping, key: str) -> tuple[float, ...]:
+    values = doc.get(key, ())
+    if not isinstance(values, (list, tuple)) or \
+            any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+    return tuple(float(v) for v in values)
 
 
 def _is_existing_path(text: str) -> bool:
@@ -365,10 +379,10 @@ def load_config(source, *, env: Optional[Mapping[str, str]] = None,
         generator=generator_from_config(doc["generator"]) if "generator" in doc else None,
         adversary=adversary_from_config(doc.get("adversary")),
         procedure=doc.get("procedure", "step_up"),
-        alpha_grid=tuple(float(a) for a in doc.get("alpha_grid", ())),
-        gamma_grid=tuple(float(g) for g in doc.get("gamma_grid", ())),
-        reps=int(doc.get("reps", 20_000)),
-        master_seed=int(seed),
+        alpha_grid=_grid(doc, "alpha_grid"),
+        gamma_grid=_grid(doc, "gamma_grid"),
+        reps=doc.get("reps", 20_000),
+        master_seed=seed,
         out_dir=Path(doc.get("out_dir", "fdrlink_out")),
         workers=doc.get("workers"),
     )

@@ -67,6 +67,14 @@ _M64 = (1 << 64) - 1
 _LIMIT_J_MAX = 10**7
 # Row chunks hold about this many drawn values (512 KB of float64).
 _CHUNK_VALUES = 1 << 16
+# glibc serves an allocation above its mmap threshold (128 KiB at start) with
+# a fresh mapping, page-faulted in on first use, and trims the heap top above
+# twice the threshold; freeing a mapping raises the threshold to its size (up
+# to 32 MiB). Freeing one buffer of four chunks before each run keeps
+# chunk-sized temporaries on the heap; otherwise how often they are faulted in
+# again depends on what the process allocated before (mc-iid benchmark:
+# 120k-250k minor faults a pass, against about 2k).
+_HEAP_HINT_VALUES = 4 * _CHUNK_VALUES
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -91,7 +99,12 @@ def _is_count(value) -> bool:
 @dataclass(frozen=True)
 class McConfig:
     """Replication count, master seed, and the most worker processes to use
-    (a run uses at most one per block, so a single-block run starts no pool)."""
+    (a run uses at most one per block, so a single-block run starts no pool).
+
+    Memory grows with `reps`: an estimate holds every replication's value,
+    8 bytes each, and reduces them through a Python list of about 32 bytes
+    more per value, so about 4 GB at 1e8 replications.
+    """
 
     reps: int
     master_seed: int = 0
@@ -121,11 +134,12 @@ class McEstimate:
     @classmethod
     def from_values(cls, values: np.ndarray, cfg: "McConfig") -> "McEstimate":
         """Mean and standard error of per-replication values (``math.fsum``)."""
-        reps = int(values.size)
-        mean = math.fsum(values.tolist()) / reps
+        items = values.tolist()
+        reps = len(items)
+        mean = math.fsum(items) / reps
         if reps == 1:
             return cls(mean, 0.0, reps, cfg.master_seed, stderr_degenerate=True)
-        var = math.fsum(((v - mean) ** 2 for v in values.tolist())) / (reps - 1)
+        var = math.fsum((v - mean) ** 2 for v in items) / (reps - 1)
         return cls(mean, math.sqrt(var / reps), reps, cfg.master_seed)
 
 
@@ -224,6 +238,7 @@ def _block_values(task, master_seed: int, reps: int, first: int, stop: int) -> n
     """Values of replications ``first * BLOCK_REPS`` up to
     ``min(stop * BLOCK_REPS, reps)``, block by block, in row chunks."""
     chunk = max(1, _CHUNK_VALUES // max(task.width, 1))
+    np.empty(_HEAP_HINT_VALUES)  # allocated and freed at once, see above
     parts = []
     for block in range(first, stop):
         rng = block_rng(master_seed, block)

@@ -24,6 +24,7 @@ from fdrlink import (
     prdn_bound,
     prdn_bound_pi0,
 )
+from fdrlink.bounds import _HARMONIC_CUTOFF
 from fdrlink.experiments import bounds_table
 
 
@@ -165,6 +166,15 @@ class TestHarmonic:
         gamma = 0.5772156649015328606
         approx = math.log(n) + gamma + 1 / (2 * n) - 1 / (12 * n**2)
         assert harmonic(n) == pytest.approx(approx, rel=1e-12)
+
+    def test_expansion_matches_exact_sum_around_cutoff(self):
+        terms = [1.0 / k for k in range(1, _HARMONIC_CUTOFF + 4)]
+        for n in range(_HARMONIC_CUTOFF - 2, _HARMONIC_CUTOFF + 4):
+            assert harmonic(n) == pytest.approx(math.fsum(terms[:n]), rel=1e-15)
+
+    def test_expansion_at_1e9(self):
+        # H(1e9) = 21.30048150234794401668... (40-digit arithmetic)
+        assert harmonic(10**9) == pytest.approx(21.300481502347944017, rel=1e-15)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -270,6 +270,20 @@ class TestCli:
         assert main(["run", str(cfg)]) == 2
         assert "workers must be an integer >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("reps", 2.5), ("reps", True), ("reps", "abc"), ("reps", None),
+        ("master_seed", "x"), ("alpha_grid", ["x"]), ("alpha_grid", [None]),
+        ("gamma_grid", ["x"]),
+    ], ids=["reps-2.5", "reps-true", "reps-abc", "reps-null", "master_seed-x", "alpha_grid-x",
+            "alpha_grid-null", "gamma_grid-x"])
+    def test_bad_number_exit_code(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema": 1, "preset": "E1", key: value,
+                                   "out_dir": str(tmp_path / "out")}))
+        assert main(["run", str(cfg)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_output_exit_code(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
