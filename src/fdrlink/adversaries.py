@@ -21,6 +21,8 @@ Ranks come from one row-wise kernel, :func:`anchor_choice`: per row of
 ascending nulls, a float argmax of ``j / c_j`` with ``c_j`` the smallest
 ``c >= 1`` for which ``p_(j) <= alpha * c / n``, refined in exact rational
 arithmetic only on rows with float-tied candidates, ties to the largest rank.
+A one-pass float envelope ``(alpha / n) * j / p_(j)`` screens the columns, so
+``c_j`` is worked out only where the row maximum can be.
 Each adversary spec owns its row-wise planted-zero count (``plant``); the
 scalar functions here are one-row calls.
 """
@@ -67,22 +69,47 @@ def anchor_choice(nulls_sorted: np.ndarray, n: int, alpha: float,
     `n1` compete, and ``(0, 0)`` means none does. Zero p-values are accepted
     (their ceiling is 1); callers validate their own inputs.
     """
-    ceils = threshold_ceil(nulls_sorted, n, alpha)
-    ranks = np.arange(first_rank, first_rank + nulls_sorted.shape[1], dtype=float)
-    ratios = ranks / ceils
+    rows, width = nulls_sorted.shape
+    ranks = np.arange(first_rank, first_rank + width, dtype=float)
+    # A ceiling is at least max(1, n p / alpha) up to rounding, so rank /
+    # ceiling is at most (alpha / n) * rank / p: exact ceilings are needed
+    # only where that envelope reaches the exact ratio at its own argmax. A
+    # zero or subnormal p gives an infinite envelope.
+    with np.errstate(divide="ignore", over="ignore"):
+        envelope = ranks / nulls_sorted
     if n1 is not None:
-        ratios[ceils - ranks > n1] = -1.0
-    best = ratios.max(axis=1)
-    near = ratios >= (best * (1.0 - 1e-12))[:, None]
-    pos = near.shape[1] - 1 - np.argmax(near[:, ::-1], axis=1)
+        # A rank is feasible iff p <= alpha * (n1 + rank) / n; the margin
+        # keeps every feasible rank whatever the rounding.
+        envelope[nulls_sorted > (alpha / n) * (n1 + ranks) * (1.0 + 1e-9)] = -np.inf
+    top = envelope.argmax(axis=1)
+    top_ceils = threshold_ceil(nulls_sorted[np.arange(rows), top], n, alpha)
+    lower = ranks[top] / top_ceils
+    if n1 is not None:
+        lower[top_ceils - ranks[top] > n1] = -1.0  # keeps every feasible rank
+    screen = envelope >= (lower * (1.0 - 1e-9) * (n / alpha))[:, None]
+    row, col = np.divmod(np.flatnonzero(screen), width)
+    ceils = threshold_ceil(nulls_sorted[row, col], n, alpha)
+    cand_ranks = ranks[col]
+    ratios = cand_ranks / ceils
+    if n1 is not None:
+        ratios[ceils - cand_ranks > n1] = -1.0
+    best = np.full(rows, -1.0)
+    np.maximum.at(best, row, ratios)
+    # Candidates come in row-major order; a row's pick is its last near one.
+    near = np.flatnonzero(ratios >= (best * (1.0 - 1e-12))[row])
+    near_rows = row[near]
+    pick = np.zeros(rows, dtype=np.intp)
+    np.maximum.at(pick, near_rows, near)
     # The float ratios are within an ulp of the exact ones, so the exact
     # maximum is always near; only a row with a float tie pays for Fractions.
-    for row in np.nonzero(np.count_nonzero(near, axis=1) > 1)[0].tolist():
-        pos[row] = max(reversed(np.nonzero(near[row])[0].tolist()),
-                       key=lambda i: Fraction(int(ranks[i]), int(ceils[row, i])))
+    for r in np.flatnonzero(np.bincount(near_rows, minlength=rows) > 1).tolist():
+        pick[r] = max(reversed(near[near_rows == r].tolist()),
+                      key=lambda i: Fraction(int(cand_ranks[i]), int(ceils[i])))
     found = best > 0.0
-    return (np.where(found, ranks[pos], 0).astype(np.int64),
-            np.where(found, ceils[np.arange(pos.size), pos], 0).astype(np.int64))
+    rank_out, ceil_out = np.zeros((2, rows), dtype=np.int64)
+    rank_out[found] = cand_ranks[pick[found]]
+    ceil_out[found] = ceils[pick[found]]
+    return rank_out, ceil_out
 
 
 @dataclass(frozen=True)

@@ -177,6 +177,13 @@ class PrdnGaussian:
 
     `sigma` must be symmetric positive semidefinite with unit diagonal; the
     mean must vanish on the nulls.
+
+    Size limit: construction factors `sigma` and its null block densely with
+    ``eigh``, O(d^3) time for dimension d, and the instance keeps both
+    matrices and their square roots, about ``16 * (d**2 + n0**2)`` bytes
+    (1.6 GB at d = n0 = 10 000). Each drawn row costs a dense d-by-d product.
+    Structured covariances at large d are :class:`BlockDependent` and
+    :class:`EquicorrelatedNormal`, which keep no matrix.
     """
 
     sigma: np.ndarray

@@ -222,23 +222,22 @@ def generator_from_config(node: Mapping) -> GeneratorSpec:
         raise ConfigError(f"unknown generator keys {sorted(extra)} for type {kind!r}")
     try:
         if kind == "iid_uniform":
-            return IidUniform(int(node["n0"]), int(node.get("n1", 0)))
+            return IidUniform(_int_field(node, "n0"), _int_field(node, "n1", 0))
         if kind == "equicorrelated_normal":
             return EquicorrelatedNormal(
-                int(node["n0"]), int(node.get("n1", 0)), float(node.get("rho", 0.0)),
-                str(node.get("sided", "one")), float(node.get("mu_alt", 2.0)))
+                _int_field(node, "n0"), _int_field(node, "n1", 0), _number_field(node, "rho", 0.0),
+                str(node.get("sided", "one")), _number_field(node, "mu_alt", 2.0))
         if kind == "prdn_gaussian":
-            sigma = load_matrix(node["sigma_file"])
-            return PrdnGaussian(sigma, tuple(int(i) for i in node["null_idx"]),
-                                None, str(node.get("sided", "one")))
+            null_idx = _int_list(node, "null_idx")
+            return PrdnGaussian(load_matrix(node["sigma_file"]), null_idx, None,
+                                str(node.get("sided", "one")))
         if kind == "block":
             mask = node.get("null_mask")
             return BlockDependent(
-                tuple(int(b) for b in node["block_sizes"]),
-                str(node.get("within", "identical")),
-                None if node.get("rho_w") is None else float(node["rho_w"]),
+                _int_list(node, "block_sizes"), str(node.get("within", "identical")),
+                None if node.get("rho_w") is None else _number_field(node, "rho_w", None),
                 None if mask is None else np.asarray(mask, dtype=bool),
-                float(node.get("mu_alt", 2.0)), str(node.get("sided", "one")))
+                _number_field(node, "mu_alt", 2.0), str(node.get("sided", "one")))
         return TwoSidedWrap(generator_from_config(node["inner"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid generator config: {exc}") from exc
@@ -268,7 +267,7 @@ def adversary_from_config(node: Optional[Mapping]) -> Optional[AdversarySpec]:
             return MostAntiConservativeAdversary()
         if kind == "bonferroni_masked":
             return BonferroniMaskedAdversary(str(node.get("strategy", "shifted_argmax")))
-        return FixedZerosAdversary(int(node.get("zeros", 0)))
+        return FixedZerosAdversary(_int_field(node, "zeros", 0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid adversary config: {exc}") from exc
 
@@ -321,10 +320,36 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _int_field(node: Mapping, key: str, default: Optional[int] = None) -> int:
+    """``node[key]`` (or `default` when given and the key is absent) as a
+    plain integer."""
+    value = node[key] if default is None else node.get(key, default)
+    if not _is_int(value):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _int_list(node: Mapping, key: str) -> tuple[int, ...]:
+    values = node[key]
+    if not isinstance(values, (list, tuple)) or not all(_is_int(v) for v in values):
+        raise ConfigError(f"{key} must be a list of integers, got {values!r}")
+    return tuple(values)
+
+
+def _number_field(node: Mapping, key: str, default: Optional[float]) -> float:
+    value = node.get(key, default)
+    if not _is_number(value):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _grid(doc: Mapping, key: str) -> tuple[float, ...]:
     values = doc.get(key, ())
-    if not isinstance(values, (list, tuple)) or \
-            any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+    if not isinstance(values, (list, tuple)) or not all(_is_number(v) for v in values):
         raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
     return tuple(float(v) for v in values)
 

@@ -18,6 +18,15 @@ summation (``math.fsum``), so estimates are bit-identical for a fixed
 ``(reps, master_seed)`` whatever the number of worker processes, which
 receive contiguous ranges of whole blocks.
 
+A row of the worst-case limit constant is a walk of standard-exponential
+draws: a first batch of ``j_floor`` draws, then doubling batches until its
+truncation rule stops it. The engine draws the first batches of a row chunk
+in one call and screens them together. A row whose walk goes on needs its
+later draws right after its first batch, so the generator is rewound to the
+chunk's start, the rows before it are drawn again, and that row walks alone;
+the chunk's remaining rows then draw from where its walk ended. The stream is
+thus consumed exactly as by one walk after another.
+
 Pipeline for FDR-type targets, row-wise over a chunk of replications: sample
 the nulls, apply the adversary (or keep the generated non-nulls when no
 adversary is given), run the procedure, record the false discovery
@@ -203,10 +212,53 @@ class _SimesTask:
 class _LimitTask:
     alpha: float
     j_floor: int
-    width = 1  # a walk draws as it goes; chunking cannot change it
+
+    @property
+    def width(self) -> int:
+        return self.j_floor
 
     def rows(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return np.array([self._walk(rng) for _ in range(count)])
+        values = np.empty(count)
+        buf = np.empty((count, self.j_floor))
+        done = 0
+        while done < count:
+            state = rng.bit_generator.state
+            sums = buf[:count - done]
+            rng.standard_exponential(out=sums)
+            best, walks_on = self._first_batches(sums)
+            stop = int(walks_on.argmax()) if walks_on.any() else len(sums)
+            values[done:done + stop] = np.minimum(best[:stop], 1.0)
+            done += stop
+            if done < count:
+                # The row's later draws follow its first batch in the stream:
+                # rewind, redraw the rows before it, and walk it alone.
+                rng.bit_generator.state = state
+                rng.standard_exponential(out=sums[:stop])
+                values[done] = self._walk(rng)
+                done += 1
+        return values
+
+    def _first_batches(self, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's running maximum after its first batch of draws (given in
+        `sums`, which become partial sums), and whether its walk goes on.
+
+        ``j / snap_ceil(S_j / alpha)`` is at most ``alpha * j / S_j`` up to
+        rounding, so only columns where that envelope reaches the exact ratio
+        at the envelope's own argmax can hold the maximum."""
+        np.cumsum(sums, axis=1, out=sums)
+        ranks = np.arange(1.0, sums.shape[1] + 1)
+        with np.errstate(divide="ignore"):  # a zero draw makes S_1 = 0
+            envelope = ranks / sums
+            top = envelope.argmax(axis=1)
+            lower = ranks[top] / snap_ceil_array(sums[np.arange(len(sums)), top] / self.alpha)
+            screen = envelope >= (lower * (1.0 - 1e-9) / self.alpha)[:, None]
+            row, col = np.divmod(np.flatnonzero(screen), sums.shape[1])
+            ratios = ranks[col] / snap_ceil_array(sums[row, col] / self.alpha)
+        best = np.zeros(len(sums))
+        np.maximum.at(best, row, ratios)
+        stops = (best >= 1.0) | (self.j_floor >= _LIMIT_J_MAX) | \
+            (self.alpha * self.j_floor / sums[:, -1] < best)
+        return best, ~stops
 
     def _walk(self, rng: np.random.Generator) -> float:
         total = 0.0
@@ -225,10 +277,11 @@ class _LimitTask:
                 return 1.0
             if done >= _LIMIT_J_MAX:
                 return best
-            # Stopping rule, checked at batch ends: j/ceil(S_j/alpha) is at
-            # most alpha*j/S_j, so once that envelope falls below the running
-            # maximum no later rank can overtake it (extending further is
-            # harmless and only tightens the truncation).
+            # Truncation rule, checked at batch ends: stop once the envelope
+            # alpha*j/S_j, an upper bound on j/ceil(S_j/alpha), falls below
+            # the running maximum. The envelope can rise above it again at a
+            # later rank, so this truncates; extension_floor_multiplier and
+            # test_truncation_floor_insensitive probe the bias.
             if done >= self.j_floor and self.alpha * done / total < best:
                 return best
             batch = min(done, _LIMIT_J_MAX - done)
@@ -297,9 +350,8 @@ def estimate_fdp_moment(gen: GeneratorSpec, adv: Optional[AdversarySpec], proc: 
                         alpha: float, k: int, cfg: McConfig) -> McEstimate:
     """Monte Carlo mean of ``FDP**k``; k = 1 reproduces :func:`estimate_fdr`
     on the same seeds."""
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"moment order must be >= 1, got {k}")
+    if not _is_count(k):
+        raise ValueError(f"moment order must be an integer >= 1, got {k!r}")
     return McEstimate.from_values(fdp_values(gen, adv, proc, alpha, cfg) ** k, cfg)
 
 

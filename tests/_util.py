@@ -11,6 +11,8 @@ import numpy as np
 
 from fdrlink import (FixedZerosAdversary, InformedAdversary, MostAntiConservativeAdversary,
                      PValueStudy, RejectionOutcome)
+from fdrlink.mc import BLOCK_REPS, block_rng
+from fdrlink.procedures import snap_ceil_array
 
 # Asymptotic Kolmogorov-Smirnov critical coefficient at the 1% level:
 # sqrt(-0.5 * ln(0.005)). Critical distance = KS_COEFF_1PCT / sqrt(n).
@@ -48,6 +50,41 @@ def anchor_oracle(nulls_sorted, n: int, alpha: float, n1=None, first_rank: int =
         if (n1 is None or c - j <= n1) and (best == (0, 0) or Fraction(j, c) >= Fraction(*best)):
             best = (j, c)
     return best
+
+
+def limit_walk_oracle(alpha: float, j_floor: int, reps: int, master_seed: int,
+                      j_max: int = 10**7) -> tuple[np.ndarray, np.ndarray]:
+    """Per-replication values of the worst-case limit walk and the number of
+    draws each walk made: one walk after another on each block's generator,
+    each drawing as it goes (the one-row loop, kept as the reference for the
+    batched engine)."""
+    values, draws = [], []
+    for block in range(-(-reps // BLOCK_REPS)):
+        rng = block_rng(master_seed, block)
+        for _ in range(min(BLOCK_REPS, reps - block * BLOCK_REPS)):
+            total = 0.0
+            done = 0
+            best = 0.0
+            batch = j_floor
+            while True:
+                xi = rng.standard_exponential(batch)
+                partial = total + np.cumsum(xi)
+                ranks = np.arange(done + 1, done + batch + 1, dtype=float)
+                ratios = ranks / snap_ceil_array(partial / alpha)
+                best = max(best, float(ratios.max()))
+                done += batch
+                total = float(partial[-1])
+                if best >= 1.0:
+                    best = 1.0
+                    break
+                if done >= j_max:
+                    break
+                if done >= j_floor and alpha * done / total < best:
+                    break
+                batch = min(done, j_max - done)
+            values.append(best)
+            draws.append(done)
+    return np.array(values), np.array(draws)
 
 
 def planted_zeros_oracle(adv, nulls_sorted, n1: int, n: int, alpha: float) -> int:

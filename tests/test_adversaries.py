@@ -1,5 +1,6 @@
 """Tests for the adversarial non-null constructions."""
 
+import warnings
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -26,7 +27,7 @@ from fdrlink import (
 
 from fdrlink.adversaries import anchor_choice
 
-from _util import anchor_oracle, brute_force_max_fdp
+from _util import anchor_oracle, brute_force_max_fdp, threshold_ceil_oracle
 
 
 def _near_boundary(draw, ceiling: int, n: int, alpha: float) -> float:
@@ -66,6 +67,41 @@ def test_anchor_kernel_matches_exact_oracle(case):
     rows = np.array([np.full(len(nulls), 0.5), nulls, np.linspace(0.01, 1.0, len(nulls))])
     ranks, ceilings = anchor_choice(rows, n, alpha, n1, first_rank)
     assert (int(ranks[1]), int(ceilings[1])) == anchor_oracle(nulls, n, alpha, n1, first_rank)
+
+
+def _just_above(c: int, n: int, alpha: float) -> float:
+    """The smallest p whose ceiling is c + 1."""
+    return float(np.nextafter(alpha * c / n, 1.0))
+
+
+_FRACTION_C = threshold_ceil_oracle(0.3, 2 * 10**9, 1e-3)
+
+
+@pytest.mark.parametrize("nulls, n, alpha, n1, first_rank, expected", [
+    # Zero and subnormal nulls: an infinite envelope, ceiling 1.
+    ([0.0, 0.0, 0.3, 0.7], 8, 0.1, None, 1, (2, 1)),
+    ([5e-324, 0.3, 0.5], 5, 0.1, None, 1, (1, 1)),
+    ([5e-324, 0.3, 0.5], 5, 0.1, 0, 1, (1, 1)),
+    # Rank 1 has the largest envelope, but it sits just above alpha / n, so
+    # its ceiling jumps to 2 and rank 2 (ceiling 3) wins.
+    ([_just_above(1, 10, 0.1), 0.0201, 0.9], 10, 0.1, None, 1, (2, 3)),
+    # Ranks 2..10 need 3 zeros, more than n1 = 2, so the envelope's argmax
+    # (rank 10, within an ulp of feasible) is infeasible and rank 1 wins.
+    ([0.029] + [_just_above(12, 12, 0.12)] * 9, 12, 0.12, 2, 1, (1, 3)),
+    ([0.5, 0.6], 4, 0.1, 0, 1, (0, 0)),
+    ([0.011, 0.015, 0.5], 10, 0.1, None, 2, (3, 2)),
+    # 1/C and 2/(2C + 1) agree to 1e-12 in floats; only the exact refine
+    # prefers the smaller rank.
+    ([0.3, _just_above(2 * _FRACTION_C, 2 * 10**9, 1e-3)], 2 * 10**9, 1e-3, None, 1,
+     (1, _FRACTION_C)),
+], ids=["zeros", "subnormal", "subnormal-n1", "ceiling-jump", "argmax-infeasible",
+        "none-feasible", "first-rank-2", "fraction-tie"])
+def test_anchor_screen_edges(nulls, n, alpha, n1, first_rank, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ranks, ceilings = anchor_choice(np.array([nulls]), n, alpha, n1, first_rank)
+    assert anchor_oracle(nulls, n, alpha, n1, first_rank) == expected
+    assert (int(ranks[0]), int(ceilings[0])) == expected
 
 
 class TestMaxFdpRank:

@@ -270,18 +270,30 @@ class TestCli:
         assert main(["run", str(cfg)]) == 2
         assert "workers must be an integer >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [
-        ("reps", 2.5), ("reps", True), ("reps", "abc"), ("reps", None),
-        ("master_seed", "x"), ("alpha_grid", ["x"]), ("alpha_grid", [None]),
-        ("gamma_grid", ["x"]),
+    @pytest.mark.parametrize("key, value, field", [
+        ("reps", 2.5, "reps"), ("reps", True, "reps"), ("reps", "abc", "reps"),
+        ("reps", None, "reps"), ("master_seed", "x", "master_seed"),
+        ("alpha_grid", ["x"], "alpha_grid"), ("alpha_grid", [None], "alpha_grid"),
+        ("gamma_grid", ["x"], "gamma_grid"),
+        ("generator", {"type": "iid_uniform", "n0": 2.5}, "n0"),
+        ("generator", {"type": "iid_uniform", "n0": 5, "n1": True}, "n1"),
+        ("adversary", {"type": "fixed_zeros", "zeros": 1.9}, "zeros"),
+        ("generator", {"type": "prdn_gaussian", "sigma_file": "s.txt", "null_idx": [0, 1.5]},
+         "null_idx"),
+        ("generator", {"type": "block", "block_sizes": [2, True]}, "block_sizes"),
+        ("generator", {"type": "equicorrelated_normal", "n0": 5, "rho": "0.5"}, "rho"),
+        ("generator", {"type": "block", "block_sizes": [2], "within": "equicorrelated",
+                       "rho_w": [0.5]}, "rho_w"),
+        ("generator", {"type": "equicorrelated_normal", "n0": 5, "mu_alt": False}, "mu_alt"),
     ], ids=["reps-2.5", "reps-true", "reps-abc", "reps-null", "master_seed-x", "alpha_grid-x",
-            "alpha_grid-null", "gamma_grid-x"])
-    def test_bad_number_exit_code(self, tmp_path, capsys, key, value):
+            "alpha_grid-null", "gamma_grid-x", "n0-2.5", "n1-true", "zeros-1.9",
+            "null_idx-1.5", "block_sizes-true", "rho-text", "rho_w-list", "mu_alt-false"])
+    def test_bad_number_exit_code(self, tmp_path, capsys, key, value, field):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"schema": 1, "preset": "E1", key: value,
                                    "out_dir": str(tmp_path / "out")}))
         assert main(["run", str(cfg)]) == 2
-        assert f"{key} must be" in capsys.readouterr().err
+        assert f"{field} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unwritable_output_exit_code(self, tmp_path):

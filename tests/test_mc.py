@@ -48,6 +48,7 @@ from _util import (
     anchor_oracle,
     completed_fdp_oracle,
     ks_distance_uniform,
+    limit_walk_oracle,
     step_fdp_oracle,
 )
 
@@ -411,6 +412,12 @@ class TestMoments:
         with pytest.raises(ValueError):
             estimate_fdp_moment(IidUniform(5, 0), None, "step_up", 0.1, 0, McConfig(2, 0))
 
+    @pytest.mark.parametrize("k", [2.5, True, "2"])
+    def test_moment_order_must_be_a_plain_integer(self, k):
+        # Neither truncated (2.5 -> 2) nor read as a number (True -> 1).
+        with pytest.raises(ValueError, match="moment order"):
+            estimate_fdp_moment(IidUniform(5, 0), None, "step_up", 0.1, k, McConfig(2, 0))
+
 
 class TestFdr0Curve:
     def test_requires_null_only_generator(self):
@@ -447,6 +454,33 @@ class TestWorstFdrLimit:
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
             estimate_worst_fdr_limit(1.2, McConfig(2, 0))
+
+    @pytest.mark.parametrize("alpha, multiplier, reps, j_max, shows", [
+        (0.1, 1.0, 2 * BLOCK_REPS + 37, 10**7, None),  # multi-block, partial last block
+        (0.05 / 11, 1.0, BLOCK_REPS + 3, 10**7, None),  # chunks of 14 rows
+        (0.5, 1.0, 300, 10**7, "ones"),
+        (0.5, 0.05, BLOCK_REPS + 9, 10**7, "extended"),  # j_floor 2
+        (0.5, 0.05, 300, 3, "capped"),  # the cap cuts the second batch short
+        (0.5, 0.05, 300, 2, "capped"),  # the cap is the first batch
+    ], ids=["multi-block", "chunked", "ones", "extended", "cap-3", "cap-2"])
+    def test_matches_one_walk_after_another(self, monkeypatch, alpha, multiplier, reps,
+                                            j_max, shows):
+        monkeypatch.setattr(mc, "_LIMIT_J_MAX", j_max)
+        seen = []
+        reduce = McEstimate.from_values
+        monkeypatch.setattr(McEstimate, "from_values",
+                            lambda values, cfg: seen.append(values) or reduce(values, cfg))
+        cfg = McConfig(reps, 11)
+        est = estimate_worst_fdr_limit(alpha, cfg, multiplier)
+        j_floor = min(math.ceil(20.0 / alpha * multiplier), j_max)
+        values, draws = limit_walk_oracle(alpha, j_floor, reps, 11, j_max)
+        assert np.array_equal(seen[0], values)
+        assert est == reduce(values, cfg)
+        # The case holds the rows it is there for.
+        assert {"ones": (values == 1.0).any(),
+                "extended": (draws > j_floor).any(),
+                "capped": ((draws == j_max) & (values < 1.0)).any(),
+                None: True}[shows]
 
 
 class TestVerifyLinking:
