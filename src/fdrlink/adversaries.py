@@ -36,7 +36,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .procedures import threshold_ceil
-from .study import PValueStudy, RejectionOutcome
+from .study import PValueStudy, RejectionOutcome, is_int
 
 __all__ = [
     "InformedAdversary",
@@ -167,14 +167,13 @@ class FixedZerosAdversary:
     zeros: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.zeros) < 0:
-            raise ValueError("zero count must be nonnegative")
+        if not (is_int(self.zeros) and self.zeros >= 0):
+            raise ValueError(f"zero count must be an integer >= 0, got {self.zeros!r}")
 
     def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> tuple[np.ndarray, dict]:
-        zeros = int(self.zeros)
-        if zeros > n1:
-            raise ValueError(f"cannot plant {zeros} zeros in {n1} non-null slots")
-        return np.full(nulls_sorted.shape[0], zeros, dtype=np.int64), {}
+        if self.zeros > n1:
+            raise ValueError(f"cannot plant {self.zeros} zeros in {n1} non-null slots")
+        return np.full(nulls_sorted.shape[0], self.zeros, dtype=np.int64), {}
 
 
 AdversarySpec = Union[

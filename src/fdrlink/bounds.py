@@ -21,6 +21,8 @@ from typing import Union
 
 import numpy as np
 
+from .study import is_int
+
 __all__ = [
     "LinearCurve",
     "WorstCaseCurve",
@@ -168,7 +170,7 @@ _HARMONIC_CUTOFF = 10**6
 _EULER_GAMMA = 0.57721566490153286061
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)  # typed: 10.0 must not hit 10's entry
 def harmonic(n: int) -> float:
     """n-th harmonic number ``1 + 1/2 + ... + 1/n``.
 
@@ -177,19 +179,20 @@ def harmonic(n: int) -> float:
     whose next term, ``1/(120n^4)``, is below 1e-25. Both are accurate to a
     relative error of a few 1e-16.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"harmonic number needs n >= 1, got {n}")
+    if not (is_int(n) and n >= 1):
+        raise ValueError(f"harmonic number needs an integer n >= 1, got {n!r}")
     if n <= _HARMONIC_CUTOFF:
         return float(np.sum(1.0 / np.arange(1, n + 1, dtype=float)))
     return math.fsum((math.log(n), _EULER_GAMMA, 0.5 / n, -1.0 / (12.0 * n * n)))
 
 
+def _log_correction_raw(n: int, pi0: float, alpha: float) -> float:
+    return harmonic(n) * _check_pi0(pi0) * _check_open_unit("alpha", alpha)
+
+
 def log_correction_bound(n: int, pi0: float, alpha: float) -> float:
     """Classic arbitrary-dependence ceiling ``min(S(n) * pi0 * alpha, 1)``."""
-    pi0 = _check_pi0(pi0)
-    alpha = _check_open_unit("alpha", alpha)
-    return min(harmonic(n) * pi0 * alpha, 1.0)
+    return min(_log_correction_raw(n, pi0, alpha), 1.0)
 
 
 def arbitrary_dep_bound(n0: int, pi0: float, alpha: float) -> float:
@@ -236,32 +239,35 @@ def improvement_range(n: int, n0: int, pi0: float) -> AlphaInterval:
 
     Empty under the global null (n == n0), where the two bounds coincide.
     """
-    n, n0 = int(n), int(n0)
     pi0 = _check_pi0(pi0)
-    if n < n0 or n0 < 1:
-        raise ValueError(f"need n >= n0 >= 1, got n={n}, n0={n0}")
+    if not (is_int(n) and is_int(n0) and n >= n0 >= 1):
+        raise ValueError(f"need integers n >= n0 >= 1, got n={n!r}, n0={n0!r}")
     s0 = harmonic(n0)
     upper = 1.0 / (pi0 * s0)
     lower = math.exp(1.0 - harmonic(n) / s0) * upper
     return AlphaInterval(max(lower, 0.0), min(upper, 1.0))
 
 
+def _fdx_raw(pi0: float, alpha: float, gamma: float) -> float:
+    return _check_pi0(pi0) * _check_open_unit("alpha", alpha) / _check_open_unit("gamma", gamma)
+
+
 def fdx_bound(pi0: float, alpha: float, gamma: float) -> float:
     """Ceiling ``min(pi0 * alpha / gamma, 1)`` on the probability that the
     false discovery proportion reaches `gamma`, for positively regression
     dependent nulls."""
-    pi0 = _check_pi0(pi0)
-    alpha = _check_open_unit("alpha", alpha)
-    gamma = _check_open_unit("gamma", gamma)
-    return min(pi0 * alpha / gamma, 1.0)
+    return min(_fdx_raw(pi0, alpha, gamma), 1.0)
+
+
+def _guo_rao_raw(n: int, alpha: float) -> float:
+    return harmonic(n) * _check_open_unit("alpha", alpha)
 
 
 def guo_rao_reference(n: int, alpha: float) -> float:
     """Worst-case global-null FDR value ``min(S(n) * alpha, 1)`` attained by a
     known adversarial joint distribution; used as a reference curve in
     consistency plots (the distribution itself is not constructed here)."""
-    alpha = _check_open_unit("alpha", alpha)
-    return min(harmonic(int(n)) * alpha, 1.0)
+    return min(_guo_rao_raw(n, alpha), 1.0)
 
 
 @dataclass(frozen=True)
@@ -294,16 +300,13 @@ def bound_report(name: str, *, n: int | None = None, n0: int | None = None,
     if name == "prdn_pi0":
         return _clamped_report(name, prdn_bound_pi0(pi0, alpha), **params)
     if name == "log_correction":
-        raw = harmonic(int(n)) * _check_pi0(pi0) * _check_open_unit("alpha", alpha)
-        return _clamped_report(name, raw, **params)
+        return _clamped_report(name, _log_correction_raw(n, pi0, alpha), **params)
     if name == "arbitrary_dep":
         return _clamped_report(name, arbitrary_dep_bound(n0, pi0, alpha), **params)
     if name == "fdx":
-        raw = _check_pi0(pi0) * _check_open_unit("alpha", alpha) / _check_open_unit("gamma", gamma)
-        return _clamped_report(name, raw, **params)
+        return _clamped_report(name, _fdx_raw(pi0, alpha, gamma), **params)
     if name == "guo_rao":
-        raw = harmonic(int(n)) * _check_open_unit("alpha", alpha)
-        return _clamped_report(name, raw, **params)
+        return _clamped_report(name, _guo_rao_raw(n, alpha), **params)
     raise ValueError(f"unknown bound name: {name!r}")
 
 

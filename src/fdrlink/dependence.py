@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .study import PValueStudy
+from .study import PValueStudy, is_int
 
 __all__ = [
     "IidUniform",
@@ -97,6 +97,11 @@ def _equicorrelate(z: np.ndarray, rho: float) -> np.ndarray:
     return a * z + (b - a) * z.mean(axis=-1, keepdims=True)
 
 
+def _check_counts(n0, n1) -> None:
+    if not (is_int(n0) and is_int(n1) and n0 >= 1 and n1 >= 0):
+        raise ValueError(f"need integers n0 >= 1 and n1 >= 0, got n0={n0!r}, n1={n1!r}")
+
+
 @dataclass(frozen=True)
 class IidUniform:
     """All p-values iid Uniform(0, 1); the first `n0` are the nulls."""
@@ -105,8 +110,7 @@ class IidUniform:
     n1: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.n0) < 1 or int(self.n1) < 0:
-            raise ValueError("need n0 >= 1 and n1 >= 0")
+        _check_counts(self.n0, self.n1)
 
     @property
     def n(self) -> int:
@@ -141,8 +145,7 @@ class EquicorrelatedNormal:
     mu_alt: float = 2.0
 
     def __post_init__(self) -> None:
-        if int(self.n0) < 1 or int(self.n1) < 0:
-            raise ValueError("need n0 >= 1 and n1 >= 0")
+        _check_counts(self.n0, self.n1)
         _check_sided(self.sided)
         if not self.rho < 1.0:
             raise ValueError(f"rho must be < 1, got {self.rho}")
@@ -203,9 +206,9 @@ class PrdnGaussian:
         if not np.allclose(np.diag(sigma), 1.0, atol=1e-10):
             raise ValueError("sigma must have unit diagonal")
         dim = sigma.shape[0]
-        idx = tuple(sorted(int(i) for i in self.null_idx))
-        if len(set(idx)) != len(idx) or not idx:
-            raise ValueError("null_idx must be a non-empty set of distinct indices")
+        idx = tuple(sorted(self.null_idx))
+        if len(set(idx)) != len(idx) or not idx or not all(is_int(i) for i in idx):
+            raise ValueError("null_idx must be a non-empty set of distinct integer indices")
         if idx[0] < 0 or idx[-1] >= dim:
             raise ValueError("null_idx out of range")
         mu = np.zeros(dim) if self.mu is None else np.asarray(self.mu, dtype=float)
@@ -271,9 +274,9 @@ class BlockDependent:
     _held: Optional["BlockDependent"] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(b) for b in self.block_sizes)
-        if not sizes or any(b < 1 for b in sizes):
-            raise ValueError("block sizes must be positive")
+        sizes = tuple(self.block_sizes)
+        if not sizes or not all(is_int(b) and b >= 1 for b in sizes):
+            raise ValueError(f"block sizes must be positive integers, got {self.block_sizes!r}")
         object.__setattr__(self, "block_sizes", sizes)
         _check_sided(self.sided)
         if self.within not in ("identical", "equicorrelated"):

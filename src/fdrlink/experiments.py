@@ -64,6 +64,7 @@ from .dependence import (
     vanishing_null_family,
 )
 from .mc import McConfig, estimate_fdr, estimate_fdx, estimate_worst_fdr_limit, verify_linking
+from .study import is_int
 
 __all__ = [
     "ConfigError",
@@ -304,20 +305,15 @@ class ExperimentConfig:
         for g in self.gamma_grid:
             if not 0.0 < g < 1.0:
                 raise ConfigError(f"gamma grid values must lie in (0, 1), got {g}")
-        if not _is_int(self.reps) or self.reps < 1:
+        if not is_int(self.reps) or self.reps < 1:
             raise ConfigError(f"reps must be an integer >= 1, got {self.reps!r}")
-        if not _is_int(self.master_seed):
+        if not is_int(self.master_seed):
             raise ConfigError(f"master_seed must be an integer, got {self.master_seed!r}")
-        if self.workers is not None and (not _is_int(self.workers) or self.workers < 1):
+        if self.workers is not None and (not is_int(self.workers) or self.workers < 1):
             raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
 
     def mc(self) -> McConfig:
         return McConfig(reps=self.reps, master_seed=self.master_seed, workers=self.workers)
-
-
-def _is_int(value) -> bool:
-    """A plain integer: ``2.5``, ``"3"`` and ``True`` are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
@@ -328,14 +324,14 @@ def _int_field(node: Mapping, key: str, default: Optional[int] = None) -> int:
     """``node[key]`` (or `default` when given and the key is absent) as a
     plain integer."""
     value = node[key] if default is None else node.get(key, default)
-    if not _is_int(value):
+    if not is_int(value):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return value
 
 
 def _int_list(node: Mapping, key: str) -> tuple[int, ...]:
     values = node[key]
-    if not isinstance(values, (list, tuple)) or not all(_is_int(v) for v in values):
+    if not isinstance(values, (list, tuple)) or not all(is_int(v) for v in values):
         raise ConfigError(f"{key} must be a list of integers, got {values!r}")
     return tuple(values)
 

@@ -15,6 +15,11 @@ import numpy as np
 __all__ = ["PValueStudy", "RejectionOutcome"]
 
 
+def is_int(value) -> bool:
+    """A plain integer: ``2.5``, ``"3"`` and ``True`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _readonly_float_vector(values) -> np.ndarray:
     arr = np.array(values, dtype=float, copy=True)
     if arr.ndim != 1:

@@ -4,6 +4,7 @@ vectorized kernels they check."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -52,39 +53,90 @@ def anchor_oracle(nulls_sorted, n: int, alpha: float, n1=None, first_rank: int =
     return best
 
 
-def limit_walk_oracle(alpha: float, j_floor: int, reps: int, master_seed: int,
-                      j_max: int = 10**7) -> tuple[np.ndarray, np.ndarray]:
-    """Per-replication values of the worst-case limit walk and the number of
-    draws each walk made: one walk after another on each block's generator,
-    each drawing as it goes (the one-row loop, kept as the reference for the
-    batched engine)."""
-    values, draws = [], []
+def limit_ratios(sums: np.ndarray, alpha: float) -> np.ndarray:
+    """The exact ratios ``j / ceil(S_j / alpha)`` on every column of a row (or
+    rows) of partial sums, with the ceiling convention of
+    :func:`fdrlink.procedures.snap_ceil_array`."""
+    with np.errstate(divide="ignore"):  # a zero draw makes S_1 = 0
+        return np.arange(1.0, sums.shape[-1] + 1) / snap_ceil_array(sums / alpha)
+
+
+def limit_oracle(alpha: float, budget: int, reps: int, master_seed: int) -> np.ndarray:
+    """Per-replication values of the worst-case limit constant at a fixed
+    budget: one row after another on each block's generator, each drawing
+    `budget` exponentials and taking the largest ratio over all of them
+    (no screen), clipped to ``[alpha, 1]``."""
+    values = []
     for block in range(-(-reps // BLOCK_REPS)):
         rng = block_rng(master_seed, block)
         for _ in range(min(BLOCK_REPS, reps - block * BLOCK_REPS)):
-            total = 0.0
-            done = 0
-            best = 0.0
-            batch = j_floor
-            while True:
-                xi = rng.standard_exponential(batch)
-                partial = total + np.cumsum(xi)
-                ranks = np.arange(done + 1, done + batch + 1, dtype=float)
-                ratios = ranks / snap_ceil_array(partial / alpha)
-                best = max(best, float(ratios.max()))
-                done += batch
-                total = float(partial[-1])
-                if best >= 1.0:
-                    best = 1.0
-                    break
-                if done >= j_max:
-                    break
-                if done >= j_floor and alpha * done / total < best:
-                    break
-                batch = min(done, j_max - done)
-            values.append(best)
-            draws.append(done)
-    return np.array(values), np.array(draws)
+            sums = np.cumsum(rng.standard_exponential(budget))
+            values.append(min(max(limit_ratios(sums, alpha).max(), alpha), 1.0))
+    return np.array(values)
+
+
+def _lundberg_exponent(alpha: float, x: float) -> float:
+    """A lower bound, tight to rounding, on the positive root R of
+    ``alpha * (e^R - 1) = x * R`` (x > alpha), by bisection."""
+    lo, hi = 0.0, 50.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if alpha * math.expm1(mid) < x * mid:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _ruin_bounds(alpha: float, x: float, pmf: np.ndarray, tol: float,
+                 steps: int) -> tuple[float, float]:
+    """Bounds on ``P(X_c >= x c for some c >= 1)`` for the walk X with
+    Poisson(alpha) steps: the DP over c carries the mass that has not
+    crossed (indexed by X_c from `base`), the crossed mass is the lower
+    bound, and Lundberg's inequality ``P(ruin | surplus u) <= e^{-R u}``
+    bounds what the mass left would still add."""
+    r = _lundberg_exponent(alpha, x)
+    alive = np.ones(1)
+    base = 0
+    crossed = 0.0
+    for c in range(1, steps + 1):
+        mass = np.convolve(alive, pmf)
+        cut = max(math.ceil(x * c) - base, 0)
+        crossed += mass[cut:].sum()
+        alive = mass[:cut]
+        lead = int(np.argmax(alive > 1e-40))  # drop the mass far below the line
+        alive = alive[lead:]
+        base += lead
+        if c % 32 == 0 or c == steps:
+            surplus = x * c - (base + np.arange(alive.size))
+            upper = min(1.0 - alive.sum() + float(alive @ np.exp(-r * surplus)), 1.0)
+            if upper - crossed < tol:
+                break
+    return crossed, upper
+
+
+def limit_bracket(alpha: float, points: int, tol: float = 1e-3,
+                  steps: int = 5000) -> tuple[float, float]:
+    """Deterministic bounds ``lo <= L <= hi`` on the limit constant
+    ``L = E[min(M, 1)]``, ``M = sup_j j / ceil(S_j / alpha)``.
+
+    ``ceil(S_j / alpha) <= c`` exactly when ``N(alpha c) >= j`` for the unit
+    Poisson process N, so ``M >= x`` exactly when the walk
+    ``X_c = N(alpha c)`` (Poisson(alpha) steps) reaches ``x c`` at some
+    integer c >= 1: a discrete-time ruin event. Since ``M >= alpha`` almost
+    surely, ``L = alpha + integral_alpha^1 P(M >= x) dx``; :func:`_ruin_bounds`
+    bounds ``P(M >= x)`` at `points` equal steps of x, and monotone Riemann
+    sums bound the integral."""
+    pmf = [math.exp(-alpha)]
+    while pmf[-1] > 1e-30:
+        pmf.append(pmf[-1] * alpha / len(pmf))
+    xs = alpha + (1.0 - alpha) * np.arange(points + 1) / points
+    xs[-1] = 1.0
+    bounds = np.array([_ruin_bounds(alpha, x, np.array(pmf), tol, steps) for x in xs[1:]])
+    widths = np.diff(xs)
+    lo = alpha + float(widths @ bounds[:, 0])
+    hi = alpha + float(widths @ np.concatenate(([1.0], bounds[:-1, 1])))
+    return lo, hi
 
 
 def planted_zeros_oracle(adv, nulls_sorted, n1: int, n: int, alpha: float) -> int:

@@ -275,8 +275,9 @@ class TestImprovementRange:
                     log_correction_bound(n, pi0, float(alpha))
 
     def test_errors(self):
-        with pytest.raises(ValueError):
-            improvement_range(10, 20, 0.5)
+        for n, n0 in ((10, 20), (10.5, 5), (10, 5.0), (True, 1)):
+            with pytest.raises(ValueError):
+                improvement_range(n, n0, 0.5)
 
     def test_interval_grid(self):
         assert AlphaInterval(0.5, 0.2).grid(5).size == 0
@@ -294,6 +295,27 @@ class TestReports:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             bound_report("nope", alpha=0.1)
+
+    @pytest.mark.parametrize("name, bound, args", [
+        ("log_correction", log_correction_bound, dict(n=50, pi0=0.4, alpha=0.1)),
+        ("log_correction", log_correction_bound, dict(n=50, pi0=0.9, alpha=0.5)),
+        ("fdx", fdx_bound, dict(pi0=0.4, alpha=0.1, gamma=0.3)),
+        ("fdx", fdx_bound, dict(pi0=0.9, alpha=0.5, gamma=0.3)),
+        ("guo_rao", guo_rao_reference, dict(n=50, alpha=0.1)),
+        ("guo_rao", guo_rao_reference, dict(n=50, alpha=0.5)),
+    ])
+    def test_report_value_is_the_named_bound(self, name, bound, args):
+        assert bound_report(name, **args).value == bound(**args)
+
+    @pytest.mark.parametrize("name, args", [
+        ("guo_rao", dict(n=10.7, alpha=0.1)),
+        ("guo_rao", dict(n=True, alpha=0.1)),
+        ("log_correction", dict(n=10.0, pi0=0.5, alpha=0.1)),
+        ("arbitrary_dep", dict(n0=7.5, pi0=0.5, alpha=0.1)),
+    ])
+    def test_non_integer_counts_rejected(self, name, args):
+        with pytest.raises(ValueError):
+            bound_report(name, **args)
 
     def test_bounds_table_columns(self):
         header, rows = bounds_table(100, 60, 0.6, [0.05, 0.1], [0.25])

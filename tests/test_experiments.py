@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdrlink import BlockDependent, EquicorrelatedNormal, IidUniform, McConfig, TwoSidedWrap
+from fdrlink import (BlockDependent, EquicorrelatedNormal, FixedZerosAdversary, IidUniform,
+                     McConfig, PrdnGaussian, TwoSidedWrap)
 from fdrlink.cli import main
 from fdrlink.experiments import (
     ConfigError,
@@ -295,6 +296,25 @@ class TestCli:
         assert main(["run", str(cfg)]) == 2
         assert f"{field} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("build", [
+        lambda: IidUniform(2.5, 1),
+        lambda: IidUniform(3, True),
+        lambda: IidUniform(np.int64(3), 1),
+        lambda: EquicorrelatedNormal(3, True, 0.2),
+        lambda: EquicorrelatedNormal(3.0, 0, 0.2),
+        lambda: FixedZerosAdversary(1.9),
+        lambda: FixedZerosAdversary(-1),
+        lambda: BlockDependent((2.5,)),
+        lambda: BlockDependent((2, True)),
+        lambda: PrdnGaussian(np.eye(3), (0, 1.0)),
+    ], ids=["iid-n0-2.5", "iid-n1-true", "iid-n0-int64", "equi-n1-true", "equi-n0-3.0",
+            "zeros-1.9", "zeros-negative", "block-2.5", "block-true", "prdn-1.0"])
+    def test_api_counts_must_be_plain_integers(self, build):
+        # The config loader's (and McConfig's) rule, applied where the
+        # Python API builds specs.
+        with pytest.raises(ValueError):
+            build()
 
     def test_unwritable_output_exit_code(self, tmp_path):
         blocker = tmp_path / "file"

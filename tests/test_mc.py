@@ -48,7 +48,9 @@ from _util import (
     anchor_oracle,
     completed_fdp_oracle,
     ks_distance_uniform,
-    limit_walk_oracle,
+    limit_bracket,
+    limit_oracle,
+    limit_ratios,
     step_fdp_oracle,
 )
 
@@ -437,6 +439,29 @@ class TestFdr0Curve:
         assert ks_distance_uniform(curve.knots) <= KS_COEFF_1PCT / math.sqrt(20_000)
 
 
+# The levels the limit constant is estimated at: E2's (pi0 = 1/11 times 0.2,
+# 0.1, 0.05), C3's and the benchmark's (1/11 times 0.1, 0.05, 0.01), and 0.5.
+LIMIT_LEVELS = (0.5, 0.2 / 11, 0.1 / 11, 0.05 / 11, 0.01 / 11)
+
+
+def _limit_estimate(alpha: float, cfg: McConfig) -> tuple[McEstimate, np.ndarray]:
+    """:func:`estimate_worst_fdr_limit` and the per-replication values it
+    reduces."""
+    seen = []
+    reduce = McEstimate.from_values
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(McEstimate, "from_values",
+                      lambda values, cfg: seen.append(values) or reduce(values, cfg))
+        est = estimate_worst_fdr_limit(alpha, cfg)
+    return est, seen[0]
+
+
+@pytest.fixture(scope="module")
+def limit_at_one_half():
+    """The estimate at alpha = 0.5 over 1e5 replications, and its rows."""
+    return _limit_estimate(0.5, McConfig(100_000, 101, workers=2))
+
+
 class TestWorstFdrLimit:
     def test_bracketed_by_the_analytic_envelope(self):
         cfg = McConfig(reps=20_000, master_seed=71)
@@ -445,42 +470,61 @@ class TestWorstFdrLimit:
             upper = alpha + alpha * math.log(1.0 / alpha)
             assert alpha < est.mean <= upper + 3.0 * est.stderr
 
-    def test_truncation_floor_insensitive(self):
-        cfg = McConfig(reps=8_000, master_seed=73)
-        base = estimate_worst_fdr_limit(0.1, cfg)
-        doubled = estimate_worst_fdr_limit(0.1, cfg, extension_floor_multiplier=2.0)
-        assert abs(doubled.mean - base.mean) < max(base.stderr, doubled.stderr)
+    def test_inside_the_ruin_bracket(self, limit_at_one_half):
+        # The bracket is rigorous up to rounding; 200 points make it
+        # [0.82002, 0.82154], narrower than 4 stderr of the estimate.
+        est, _ = limit_at_one_half
+        lo, hi = limit_bracket(0.5, 200)
+        assert lo - 4.0 * est.stderr <= est.mean <= hi + 4.0 * est.stderr
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.05])
+    def test_share_of_ones_is_alpha(self, limit_at_one_half, alpha):
+        # Takacs' ballot theorem: P(M >= 1) = alpha.
+        if alpha == 0.5:
+            values = limit_at_one_half[1]
+        else:
+            values = _limit_estimate(alpha, McConfig(100_000, 103))[1]
+        share = np.count_nonzero(values == 1.0) / values.size
+        assert abs(share - alpha) <= 4.0 * math.sqrt(alpha * (1.0 - alpha) / values.size)
+
+    def test_budget_bias_below_a_twentieth_of_the_stderr(self):
+        # The paired bias table behind J(alpha): on shared draws, the maximum
+        # over 4J partial sums exceeds the one over J by less, on average,
+        # than 1/20 of the standard error of a 1e5-replication estimate.
+        rows, chunk = 4000, 16
+        budgets = {alpha: mc._LimitTask(alpha).width for alpha in LIMIT_LEVELS}
+        rng = np.random.default_rng(105)
+        gaps = {alpha: [] for alpha in LIMIT_LEVELS}
+        longest = {alpha: [] for alpha in LIMIT_LEVELS}
+        for _ in range(rows // chunk):
+            sums = np.cumsum(rng.standard_exponential((chunk, 4 * max(budgets.values()))), axis=1)
+            for alpha, j in budgets.items():
+                ratios = limit_ratios(sums[:, :4 * j], alpha)
+                at_j = np.clip(ratios[:, :j].max(axis=1), alpha, 1.0)
+                at_4j = np.clip(ratios.max(axis=1), alpha, 1.0)
+                gaps[alpha].append(at_4j - at_j)
+                longest[alpha].append(at_4j)
+        for alpha in LIMIT_LEVELS:
+            stderr_1e5 = np.concatenate(longest[alpha]).std(ddof=1) / math.sqrt(100_000)
+            assert np.concatenate(gaps[alpha]).mean() <= stderr_1e5 / 20.0, alpha
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
             estimate_worst_fdr_limit(1.2, McConfig(2, 0))
 
-    @pytest.mark.parametrize("alpha, multiplier, reps, j_max, shows", [
-        (0.1, 1.0, 2 * BLOCK_REPS + 37, 10**7, None),  # multi-block, partial last block
-        (0.05 / 11, 1.0, BLOCK_REPS + 3, 10**7, None),  # chunks of 14 rows
-        (0.5, 1.0, 300, 10**7, "ones"),
-        (0.5, 0.05, BLOCK_REPS + 9, 10**7, "extended"),  # j_floor 2
-        (0.5, 0.05, 300, 3, "capped"),  # the cap cuts the second batch short
-        (0.5, 0.05, 300, 2, "capped"),  # the cap is the first batch
-    ], ids=["multi-block", "chunked", "ones", "extended", "cap-3", "cap-2"])
-    def test_matches_one_walk_after_another(self, monkeypatch, alpha, multiplier, reps,
-                                            j_max, shows):
-        monkeypatch.setattr(mc, "_LIMIT_J_MAX", j_max)
-        seen = []
-        reduce = McEstimate.from_values
-        monkeypatch.setattr(McEstimate, "from_values",
-                            lambda values, cfg: seen.append(values) or reduce(values, cfg))
+    @pytest.mark.parametrize("alpha, reps", [
+        (0.1, 2 * BLOCK_REPS + 37),  # J = 2048: multi-block, partial last block
+        (0.05 / 11, BLOCK_REPS + 3),  # J = 1024: chunks of 64 rows
+        (0.5, 40),  # J = 10240: chunks of 6 rows, about half of them ones
+    ], ids=["multi-block", "chunked", "ones"])
+    def test_matches_one_walk_after_another(self, alpha, reps):
         cfg = McConfig(reps, 11)
-        est = estimate_worst_fdr_limit(alpha, cfg, multiplier)
-        j_floor = min(math.ceil(20.0 / alpha * multiplier), j_max)
-        values, draws = limit_walk_oracle(alpha, j_floor, reps, 11, j_max)
-        assert np.array_equal(seen[0], values)
-        assert est == reduce(values, cfg)
-        # The case holds the rows it is there for.
-        assert {"ones": (values == 1.0).any(),
-                "extended": (draws > j_floor).any(),
-                "capped": ((draws == j_max) & (values < 1.0)).any(),
-                None: True}[shows]
+        est, values = _limit_estimate(alpha, cfg)
+        oracle = limit_oracle(alpha, mc._LimitTask(alpha).width, reps, 11)
+        assert np.array_equal(values, oracle)
+        assert est == McEstimate.from_values(oracle, cfg)
+        assert ((alpha <= oracle) & (oracle <= 1.0)).all()
+        assert alpha != 0.5 or (oracle == 1.0).any()
 
 
 class TestVerifyLinking:
