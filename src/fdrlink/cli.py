@@ -53,7 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None, help="master seed override")
     run_p.add_argument("--reps", type=int, default=None, help="replication override")
     run_p.add_argument("--out", type=Path, default=None, help="output directory")
-    run_p.add_argument("--workers", type=int, default=None, help="worker processes")
+    run_p.add_argument("--workers", type=int, default=None,
+                       help="worker processes (default: one thread per available CPU "
+                            "for rows wider than 256 values, same values)")
 
     bounds_p = sub.add_parser("bounds", help="closed-form bound table as CSV")
     bounds_p.add_argument("--n", type=int, required=True)
@@ -111,10 +113,17 @@ def _cmd_check(args) -> int:
             null_idx = [int(tok) for tok in args.nulls.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"--nulls must be comma-separated integers: {exc}") from exc
+        if not null_idx or len(set(null_idx)) != len(null_idx) or \
+                not all(0 <= i < dim for i in null_idx):
+            raise ConfigError(f"--nulls must list distinct indices in 0..{dim - 1}, "
+                              f"got {args.nulls!r}")
     prdn = prdn_check_gaussian(sigma, null_idx)
     prds = prds_check_gaussian(sigma, null_idx)
     block = sigma[np.ix_(null_idx, null_idx)]
-    signs = mtp2_sign_check(block)
+    try:
+        signs = mtp2_sign_check(block)
+    except ValueError as exc:  # a singular null block has no inverse to sign
+        raise ConfigError(f"null block of {args.matrix}: {exc}") from exc
     print(f"matrix: {args.matrix} (n={dim}, n0={len(null_idx)})")
     print(f"prdn_one_sided: {prdn}")
     print(f"prds_one_sided: {prds}")

@@ -74,6 +74,11 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def is_symmetric(sigma: np.ndarray) -> bool:
+    """Symmetry up to rounding, as :class:`PrdnGaussian` requires of `sigma`."""
+    return bool(np.allclose(sigma, sigma.T, atol=1e-12))
+
+
 def _check_sided(sided: str) -> None:
     if sided not in ("one", "two"):
         raise ValueError(f"sided must be 'one' or 'two', got {sided!r}")
@@ -201,7 +206,7 @@ class PrdnGaussian:
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ValueError("sigma must be a square matrix")
-        if not np.allclose(sigma, sigma.T, atol=1e-12):
+        if not is_symmetric(sigma):
             raise ValueError("sigma must be symmetric")
         if not np.allclose(np.diag(sigma), 1.0, atol=1e-10):
             raise ValueError("sigma must have unit diagonal")
@@ -560,14 +565,15 @@ def vanishing_null_family(l: int, schedule: Optional[Callable[[int], tuple[int, 
     """Integer pair ``(n, n0)`` with ``n0 * log(n0) / n`` bounded across `l`.
 
     The default schedule is ``n0 = l``, ``n = ceil(l * log(max(l, 2)))``,
-    floored at ``n0``; pass `schedule` to override.
+    floored at ``n0``; pass `schedule` to override. The index and the
+    schedule's outputs must be plain integers.
     """
-    l = int(l)
-    if l < 1:
-        raise ValueError("family index must be >= 1")
+    if not (is_int(l) and l >= 1):
+        raise ValueError(f"family index must be an integer >= 1, got {l!r}")
     if schedule is not None:
         n, n0 = schedule(l)
-        n, n0 = int(n), int(n0)
+        if not (is_int(n) and is_int(n0)):
+            raise ValueError(f"schedule must return integers, got (n={n!r}, n0={n0!r})")
     else:
         n0 = l
         n = max(math.ceil(l * math.log(max(l, 2))), n0)

@@ -58,6 +58,7 @@ from .dependence import (
     IidUniform,
     PrdnGaussian,
     TwoSidedWrap,
+    is_symmetric,
     mtp2_sign_check,
     prdn_check_gaussian,
     prds_check_gaussian,
@@ -188,15 +189,24 @@ def render_svg_line_chart(path, title: str, xs: Sequence[float],
 
 
 def load_matrix(path) -> np.ndarray:
-    """Dense covariance from a text file: one row per line, whitespace-separated."""
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            rows.append([float(tok) for tok in line.split()])
+    """Dense covariance from a text file: one row per line, whitespace-separated.
+    The matrix must be square, finite and symmetric."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read matrix file {path}: {exc}") from exc
+    try:
+        rows = [[float(tok) for tok in line.split()] for line in lines if line.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{path} has a non-numeric entry: {exc}") from exc
     if not rows or any(len(r) != len(rows) for r in rows):
         raise ConfigError(f"{path} does not contain a square whitespace-separated matrix")
-    return np.asarray(rows, dtype=float)
+    mat = np.asarray(rows, dtype=float)
+    if not np.isfinite(mat).all():
+        raise ConfigError(f"{path} has non-finite entries")
+    if not is_symmetric(mat):
+        raise ConfigError(f"{path} does not contain a symmetric matrix")
+    return mat
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,14 @@ block into row chunks (to bound memory) changes no value, and the first R
 values of a run are the values of a run with ``reps=R``. Values are
 assembled in replication order and aggregated with exact compensated
 summation (``math.fsum``), so estimates are bit-identical for a fixed
-``(reps, master_seed)`` whatever the number of worker processes, which
-receive contiguous ranges of whole blocks.
+``(reps, master_seed)`` however the blocks are split.
+
+Runs split the blocks into contiguous ranges. By default (``workers`` None)
+rows wider than 256 values, where a block spans more than one row chunk, run
+in thread lanes, one per available CPU and at most one per block; each lane
+holds about one row chunk and its temporaries in flight. Narrower rows and
+single-block runs stay in the calling thread. ``workers=k`` starts k worker
+processes instead, and ``workers=1`` runs in the calling thread.
 
 A row of the worst-case limit constant draws a fixed budget of
 standard-exponential values (see :func:`estimate_worst_fdr_limit`); a row
@@ -35,7 +41,8 @@ from the row-wise kernels of ``adversaries`` and ``procedures``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -99,8 +106,14 @@ def block_rng(master_seed: int, block: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Replication count, master seed, and the most worker processes to use
-    (a run uses at most one per block, so a single-block run starts no pool).
+    """Replication count, master seed, and the most worker processes to use.
+
+    With `workers` None (the default) a run whose rows are wider than 256
+    values splits its blocks over thread lanes, one per available CPU, with
+    identical values; each lane adds about one row chunk and its temporaries
+    to the memory in flight. `workers=k` starts k processes instead, at most
+    one per block, so a single-block run starts no pool; `workers=1` runs in
+    the calling thread.
 
     Memory grows with `reps`: an estimate holds every replication's value,
     8 bytes each, and reduces them through a Python list of about 32 bytes
@@ -249,15 +262,36 @@ def _block_worker(args) -> np.ndarray:
     return _block_values(*args)
 
 
+def _lane_count(task, blocks: int) -> int:
+    """Threads for a default run: one per available CPU, capped at the block
+    count, where a block spans more than one row chunk. numpy's fills, sorts
+    and ufuncs release the GIL there; on narrower rows Python overhead holds
+    it and lanes do not pay."""
+    if task.width * BLOCK_REPS <= _CHUNK_VALUES:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, blocks)
+
+
 def _replication_values(task, cfg: McConfig) -> np.ndarray:
     blocks = -(-cfg.reps // BLOCK_REPS)
-    workers = min(cfg.workers or 1, blocks)
-    if workers == 1:
-        return _block_values(task, cfg.master_seed, cfg.reps, 0, blocks)
+    processes = cfg.workers is not None
+    workers = min(cfg.workers, blocks) if processes else _lane_count(task, blocks)
     edges = np.linspace(0, blocks, workers + 1, dtype=int).tolist()
     jobs = [(task, cfg.master_seed, cfg.reps, a, b) for a, b in zip(edges[:-1], edges[1:])]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(_block_worker, jobs)))
+    if workers == 1:
+        return _block_worker(jobs[0])
+    if processes:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return np.concatenate(list(pool.map(_block_worker, jobs)))
+    # Lanes: this thread runs the first range while the others run the rest.
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        rest = [pool.submit(_block_worker, job) for job in jobs[1:]]
+        first = _block_worker(jobs[0])
+        return np.concatenate([first] + [lane.result() for lane in rest])
 
 
 def fdp_values(gen: GeneratorSpec, adv: Optional[AdversarySpec], proc: str,

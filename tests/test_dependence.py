@@ -454,6 +454,17 @@ class TestVanishingNullFamily:
         with pytest.raises(ValueError):
             vanishing_null_family(3, schedule=lambda l: (l, 10 * l))
 
+    def test_index_must_be_a_plain_integer(self):
+        for l in (2.7, 2.0, True, np.int64(2), "2", 0):
+            with pytest.raises(ValueError, match="family index"):
+                vanishing_null_family(l)
+
+    @pytest.mark.parametrize("pair", [(10.9, 3.5), (10, 3.0), (10.0, 3), (True, True),
+                                      (np.int64(10), 3)])
+    def test_schedule_must_return_plain_integers(self, pair):
+        with pytest.raises(ValueError, match="integers"):
+            vanishing_null_family(3, schedule=lambda l: pair)
+
 
 class TestSimesDistribution:
     """Distributional facts about the Simes combination under the samplers."""

@@ -242,6 +242,29 @@ class TestCli:
         assert "prds_one_sided: False" in out
         assert "mtp2_two_sided: feasible" in out
 
+    @pytest.mark.parametrize("nulls", ["0,5", "-1", "0,0", ",", "0,x"])
+    def test_check_rejects_bad_nulls(self, tmp_path, capsys, nulls):
+        matrix = tmp_path / "m.txt"
+        matrix.write_text("1.0 0.5 0.0\n0.5 1.0 -0.2\n0.0 -0.2 1.0\n")
+        assert main(["check", str(matrix), "--nulls", nulls]) == 2
+        assert "--nulls" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,message", [
+        ("1.0 x\n0.5 1.0\n", "non-numeric"),
+        ("1.0 nan\nnan 1.0\n", "non-finite"),
+        ("1 2\n3 1\n", "symmetric"),
+        ("1 1\n1 1\n", "singular"),
+    ], ids=["token", "nan", "asymmetric", "singular"])
+    def test_check_rejects_bad_matrices(self, tmp_path, capsys, text, message):
+        matrix = tmp_path / "m.txt"
+        matrix.write_text(text)
+        assert main(["check", str(matrix)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_check_missing_matrix_file(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path / "absent.txt")]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
     def test_run_preset_via_cli(self, tmp_path, capsys):
         code = main(["run", "E4", "--out", str(tmp_path)])
         assert code == 0

@@ -2,6 +2,7 @@
 and the envelope properties of the estimates."""
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -143,6 +144,69 @@ class TestSeeding:
             with pytest.raises(ValueError, match="workers"):
                 McConfig(reps=10, workers=workers)
         assert McConfig(10, workers=None).workers is None
+
+
+# Three blocks, the last one partial.
+_LANE_REPS = 2 * BLOCK_REPS + 37
+
+
+def _lane_values(kind, cfg):
+    if kind == "none-wide":  # 330 values a row
+        return fdp_values(IidUniform(300, 30), None, "step_up", 0.1, cfg)
+    if kind == "informed-300":
+        return fdp_values(IidUniform(300, 30), InformedAdversary(), "step_up", 0.1, cfg)
+    if kind == "simes-300":
+        return estimate_fdr0_curve(IidUniform(300, 0), cfg).knots
+    est = estimate_worst_fdr_limit(0.05, cfg)
+    return np.array([est.mean, est.stderr])
+
+
+class TestLanes:
+    """A default run (``workers=None``) splits the blocks over threads, one
+    per available CPU, where a block spans more than one row chunk."""
+
+    @pytest.fixture
+    def counting_threads(self, monkeypatch):
+        started = []
+
+        class CountingThreads(mc.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", CountingThreads)
+        return started
+
+    @pytest.mark.parametrize("kind", ["none-wide", "informed-300", "simes-300", "limit"])
+    def test_lanes_change_no_value(self, counting_threads, kind):
+        lanes = _lane_values(kind, McConfig(_LANE_REPS, 13))
+        assert counting_threads == [2]  # this thread and two more
+        assert np.array_equal(lanes, _lane_values(kind, McConfig(_LANE_REPS, 13, workers=1)))
+        assert np.array_equal(lanes, _lane_values(kind, McConfig(_LANE_REPS, 13, workers=3)))
+        assert counting_threads == [2]
+
+    def test_no_lane_where_it_does_not_pay(self, counting_threads, monkeypatch):
+        processes = []
+        monkeypatch.setattr(mc, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: processes.append(kwargs))
+        narrow = IidUniform(100, 0)  # 100 values a row: one chunk holds a block
+        fdp_values(narrow, InformedAdversary(), "step_up", 0.1, McConfig(_LANE_REPS, 1))
+        fdp_values(narrow, None, "step_up", 0.1, McConfig(_LANE_REPS, 1))
+        _lane_values("none-wide", McConfig(BLOCK_REPS, 1))
+        _lane_values("limit", McConfig(BLOCK_REPS, 1))
+        _lane_values("none-wide", McConfig(_LANE_REPS, 1, workers=1))
+        assert counting_threads == [] and processes == []
+        _lane_values("none-wide", McConfig(_LANE_REPS, 1))
+        assert counting_threads == [2] and processes == []
+
+    def test_lanes_follow_the_available_cpus(self, counting_threads, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        _lane_values("none-wide", McConfig(_LANE_REPS, 1))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        _lane_values("none-wide", McConfig(_LANE_REPS, 1))
+        assert counting_threads == [2]  # capped at the three blocks
 
 
 _DRAW_SPECS = {
