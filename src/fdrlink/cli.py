@@ -9,8 +9,8 @@ Subcommands::
 The environment variable ``FDRLINK_SEED`` overrides the configured master
 seed; an explicit ``--seed`` overrides both.
 
-Exit codes: 0 success, 2 malformed config, 3 unknown preset, 4 unwritable
-output path, 1 unexpected failure.
+Exit codes: 0 success, 2 malformed config or input, 3 unknown preset, 4
+unwritable output path, 1 unexpected failure.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--reps", type=int, default=None, help="replication override")
     run_p.add_argument("--out", type=Path, default=None, help="output directory")
     run_p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: one thread per available CPU "
-                            "for rows wider than 256 values, same values)")
+                       help="most thread lanes (default: one per available CPU; lanes "
+                            "run only on rows wider than 256 values; same values)")
 
     bounds_p = sub.add_parser("bounds", help="closed-form bound table as CSV")
     bounds_p.add_argument("--n", type=int, required=True)
@@ -93,8 +93,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if not args.n >= args.n0 >= 1:
+        raise ConfigError(f"need n >= n0 >= 1, got n={args.n}, n0={args.n0}")
     pi0 = args.pi0 if args.pi0 is not None else args.n0 / args.n
-    header, rows = bounds_table(args.n, args.n0, pi0, args.alpha, args.gamma)
+    try:
+        header, rows = bounds_table(args.n, args.n0, pi0, args.alpha, args.gamma)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if args.out is None:
         sys.stdout.write(_render_csv(header, rows))
     else:

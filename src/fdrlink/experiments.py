@@ -64,7 +64,8 @@ from .dependence import (
     prds_check_gaussian,
     vanishing_null_family,
 )
-from .mc import McConfig, estimate_fdr, estimate_fdx, estimate_worst_fdr_limit, verify_linking
+from .mc import (McConfig, check_procedure, estimate_fdr, estimate_fdx, estimate_worst_fdr_limit,
+                 verify_linking)
 from .study import is_int
 
 __all__ = [
@@ -244,6 +245,9 @@ def generator_from_config(node: Mapping) -> GeneratorSpec:
                                 str(node.get("sided", "one")))
         if kind == "block":
             mask = node.get("null_mask")
+            if mask is not None and not (isinstance(mask, list)
+                                         and all(isinstance(v, bool) for v in mask)):
+                raise ConfigError(f"null_mask must be a list of booleans, got {mask!r}")
             return BlockDependent(
                 _int_list(node, "block_sizes"), str(node.get("within", "identical")),
                 None if node.get("rho_w") is None else _number_field(node, "rho_w", None),
@@ -309,6 +313,13 @@ class ExperimentConfig:
                 raise ConfigError("custom configs need a generator")
             if not self.alpha_grid:
                 raise ConfigError("custom configs need a non-empty alpha_grid")
+            if not (isinstance(self.name, str) and self.name
+                    and Path(self.name).name == self.name):
+                raise ConfigError(f"name must be a plain file name, got {self.name!r}")
+            try:
+                check_procedure(self.procedure, self.adversary)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         for a in self.alpha_grid:
             if not 0.0 < a < 1.0:
                 raise ConfigError(f"alpha grid values must lie in (0, 1), got {a}")
@@ -404,6 +415,9 @@ def load_config(source, *, env: Optional[Mapping[str, str]] = None,
             seed = int(env["FDRLINK_SEED"])
         except ValueError as exc:
             raise ConfigError("FDRLINK_SEED must be an integer") from exc
+    out_dir = doc.get("out_dir", "fdrlink_out")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
     merged = dict(
         preset=doc.get("preset"),
         name=doc.get("name", doc.get("preset") or "custom"),
@@ -414,7 +428,7 @@ def load_config(source, *, env: Optional[Mapping[str, str]] = None,
         gamma_grid=_grid(doc, "gamma_grid"),
         reps=doc.get("reps", 20_000),
         master_seed=seed,
-        out_dir=Path(doc.get("out_dir", "fdrlink_out")),
+        out_dir=Path(out_dir),
         workers=doc.get("workers"),
     )
     if overrides:

@@ -17,12 +17,12 @@ assembled in replication order and aggregated with exact compensated
 summation (``math.fsum``), so estimates are bit-identical for a fixed
 ``(reps, master_seed)`` however the blocks are split.
 
-Runs split the blocks into contiguous ranges. By default (``workers`` None)
-rows wider than 256 values, where a block spans more than one row chunk, run
-in thread lanes, one per available CPU and at most one per block; each lane
-holds about one row chunk and its temporaries in flight. Narrower rows and
-single-block runs stay in the calling thread. ``workers=k`` starts k worker
-processes instead, and ``workers=1`` runs in the calling thread.
+Runs split the blocks into contiguous ranges, one per thread lane. Rows
+wider than 256 values, where a block spans more than one row chunk, run in
+at most ``workers`` lanes (default: one per available CPU) and at most one
+per block; each lane holds about one row chunk and its temporaries in
+flight. Narrower rows, single-block runs and ``workers=1`` stay in the
+calling thread.
 
 A row of the worst-case limit constant draws a fixed budget of
 standard-exponential values (see :func:`estimate_worst_fdr_limit`); a row
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import os
+# ProcessPoolExecutor is unused here; bench/spans.py wraps the name to count pools.
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -63,6 +64,7 @@ __all__ = [
     "BLOCK_REPS",
     "block_rng",
     "derive_seed",
+    "check_procedure",
     "fdp_values",
     "estimate_fdr",
     "estimate_fdx",
@@ -106,14 +108,13 @@ def block_rng(master_seed: int, block: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Replication count, master seed, and the most worker processes to use.
+    """Replication count, master seed, and the most thread lanes to use.
 
-    With `workers` None (the default) a run whose rows are wider than 256
-    values splits its blocks over thread lanes, one per available CPU, with
-    identical values; each lane adds about one row chunk and its temporaries
-    to the memory in flight. `workers=k` starts k processes instead, at most
-    one per block, so a single-block run starts no pool; `workers=1` runs in
-    the calling thread.
+    A run whose rows are wider than 256 values splits its blocks over at
+    most `workers` thread lanes (None, the default: one per available CPU),
+    at most one per block, with identical values; each lane adds about one
+    row chunk and its temporaries to the memory in flight. `workers=1` runs
+    in the calling thread.
 
     Memory grows with `reps`: an estimate holds every replication's value,
     8 bytes each, and reduces them through a Python list of about 32 bytes
@@ -258,40 +259,43 @@ def _block_values(task, master_seed: int, reps: int, first: int, stop: int) -> n
     return np.concatenate(parts)
 
 
-def _block_worker(args) -> np.ndarray:
-    return _block_values(*args)
-
-
-def _lane_count(task, blocks: int) -> int:
-    """Threads for a default run: one per available CPU, capped at the block
-    count, where a block spans more than one row chunk. numpy's fills, sorts
-    and ufuncs release the GIL there; on narrower rows Python overhead holds
-    it and lanes do not pay."""
+def _lane_count(task, blocks: int, workers: Optional[int]) -> int:
+    """Threads for a run: at most `workers` (None: one per available CPU),
+    capped at the block count, where a block spans more than one row chunk.
+    numpy's fills, sorts and ufuncs release the GIL there; on narrower rows
+    Python overhead holds it and lanes do not pay."""
     if task.width * BLOCK_REPS <= _CHUNK_VALUES:
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, blocks)
+    if workers is None:
+        try:
+            workers = len(os.sched_getaffinity(0))
+        except AttributeError:  # not on every platform
+            workers = os.cpu_count() or 1
+    return min(workers, blocks)
 
 
 def _replication_values(task, cfg: McConfig) -> np.ndarray:
     blocks = -(-cfg.reps // BLOCK_REPS)
-    processes = cfg.workers is not None
-    workers = min(cfg.workers, blocks) if processes else _lane_count(task, blocks)
-    edges = np.linspace(0, blocks, workers + 1, dtype=int).tolist()
+    lanes = _lane_count(task, blocks, cfg.workers)
+    edges = np.linspace(0, blocks, lanes + 1, dtype=int).tolist()
     jobs = [(task, cfg.master_seed, cfg.reps, a, b) for a, b in zip(edges[:-1], edges[1:])]
-    if workers == 1:
-        return _block_worker(jobs[0])
-    if processes:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return np.concatenate(list(pool.map(_block_worker, jobs)))
-    # Lanes: this thread runs the first range while the others run the rest.
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        rest = [pool.submit(_block_worker, job) for job in jobs[1:]]
-        first = _block_worker(jobs[0])
+    if lanes == 1:
+        return _block_values(*jobs[0])
+    # This thread runs the first range while the others run the rest.
+    with ThreadPoolExecutor(max_workers=lanes - 1) as pool:
+        rest = [pool.submit(_block_values, *job) for job in jobs[1:]]
+        first = _block_values(*jobs[0])
         return np.concatenate([first] + [lane.result() for lane in rest])
+
+
+def check_procedure(proc: str, adv: Optional[AdversarySpec]) -> None:
+    """Raise ValueError unless `proc` names a procedure that can run against `adv`."""
+    if proc not in PROCEDURES:
+        raise ValueError(f"unknown procedure {proc!r}; choose from {PROCEDURES}")
+    if proc == "most_anti_conservative" and \
+            not isinstance(adv, (InformedAdversary, MostAntiConservativeAdversary)):
+        raise ValueError("the most anti-conservative procedure needs an informed or "
+                         "most-anti-conservative adversary to supply its zeros")
 
 
 def fdp_values(gen: GeneratorSpec, adv: Optional[AdversarySpec], proc: str,
@@ -300,12 +304,7 @@ def fdp_values(gen: GeneratorSpec, adv: Optional[AdversarySpec], proc: str,
     every FDP-type estimate is a reduction of this vector."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if proc not in PROCEDURES:
-        raise ValueError(f"unknown procedure {proc!r}; choose from {PROCEDURES}")
-    if proc == "most_anti_conservative" and \
-            not isinstance(adv, (InformedAdversary, MostAntiConservativeAdversary)):
-        raise ValueError("the most anti-conservative procedure needs an informed or "
-                         "most-anti-conservative adversary to supply its zeros")
+    check_procedure(proc, adv)
     return _replication_values(_FdpTask(gen, adv, proc, alpha), cfg)
 
 

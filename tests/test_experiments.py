@@ -320,6 +320,36 @@ class TestCli:
         assert f"{field} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"procedure": "bogus"}, "unknown procedure"),
+        ({"procedure": "most_anti_conservative", "adversary": None}, "needs an informed"),
+        ({"generator": {"type": "block", "block_sizes": [2, 2], "null_mask": [1, 0, 2, "x"]}},
+         "null_mask must be"),
+        ({"out_dir": 5}, "out_dir must be"),
+        ({"name": "../escape"}, "name must be a plain file name"),
+    ], ids=["procedure-bogus", "mac-without-zeros", "null_mask-ints", "out_dir-int",
+            "name-with-dir"])
+    def test_bad_custom_field_exit_code(self, tmp_path, capsys, changes, message):
+        doc = {"schema": 1, "name": "tiny", "generator": {"type": "iid_uniform", "n0": 10},
+               "adversary": {"type": "informed"}, "alpha_grid": [0.1], "reps": 10,
+               "out_dir": str(tmp_path / "out")}
+        doc.update(changes)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("args", [
+        ["--n", "0", "--n0", "0", "--alpha", "0.1"],
+        ["--n", "5", "--n0", "10", "--alpha", "0.1"],
+        ["--n", "10", "--n0", "5", "--alpha", "1.5"],
+        ["--n", "10", "--n0", "5", "--alpha", "0.1", "--gamma", "0"],
+    ], ids=["n-zero", "n0-above-n", "alpha-1.5", "gamma-zero"])
+    def test_bounds_rejects_bad_numbers(self, capsys, args):
+        assert main(["bounds", *args]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("build", [
         lambda: IidUniform(2.5, 1),
         lambda: IidUniform(3, True),

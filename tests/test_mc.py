@@ -2,6 +2,7 @@
 and the envelope properties of the estimates."""
 
 import math
+import multiprocessing.process
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,11 +85,11 @@ class TestSeeding:
         assert a == b
 
     def test_worker_count_does_not_change_results(self):
-        # Three blocks, one per worker.
+        # Three blocks, one per lane: 300 nulls a row span two row chunks.
         reps = 2 * BLOCK_REPS + 3
         serial = McConfig(reps=reps, master_seed=5, workers=1)
         parallel = McConfig(reps=reps, master_seed=5, workers=3)
-        gen = IidUniform(15, 30)
+        gen = IidUniform(300, 30)
         adv = InformedAdversary()
         assert np.array_equal(fdp_values(gen, adv, "step_up", 0.1, serial),
                               fdp_values(gen, adv, "step_up", 0.1, parallel))
@@ -116,21 +117,6 @@ class TestSeeding:
             with monkeypatch.context() as patch:
                 patch.setattr(mc, "_CHUNK_VALUES", 1 << 30)
                 assert np.array_equal(chunked, fdp_values(gen, adv, "step_up", 0.1, cfg))
-
-    def test_pool_needs_two_blocks(self, monkeypatch):
-        started = []
-
-        class CountingPool(mc.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                started.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", CountingPool)
-        gen = IidUniform(5, 0)
-        estimate_fdr(gen, None, "step_up", 0.1, McConfig(BLOCK_REPS, 0, workers=4))
-        assert started == []
-        estimate_fdr(gen, None, "step_up", 0.1, McConfig(BLOCK_REPS + 1, 0, workers=4))
-        assert started == [{"max_workers": 2}]
 
     def test_reps_one_degenerate_stderr(self):
         est = estimate_fdr(IidUniform(5, 0), None, "step_up", 0.2, McConfig(1, 3))
@@ -162,8 +148,8 @@ def _lane_values(kind, cfg):
 
 
 class TestLanes:
-    """A default run (``workers=None``) splits the blocks over threads, one
-    per available CPU, where a block spans more than one row chunk."""
+    """A run splits the blocks over at most ``workers`` threads (None: one per
+    available CPU), where a block spans more than one row chunk."""
 
     @pytest.fixture
     def counting_threads(self, monkeypatch):
@@ -184,7 +170,7 @@ class TestLanes:
         assert counting_threads == [2]  # this thread and two more
         assert np.array_equal(lanes, _lane_values(kind, McConfig(_LANE_REPS, 13, workers=1)))
         assert np.array_equal(lanes, _lane_values(kind, McConfig(_LANE_REPS, 13, workers=3)))
-        assert counting_threads == [2]
+        assert counting_threads == [2, 2]  # workers=3 runs three lanes too
 
     def test_no_lane_where_it_does_not_pay(self, counting_threads, monkeypatch):
         processes = []
@@ -199,6 +185,17 @@ class TestLanes:
         assert counting_threads == [] and processes == []
         _lane_values("none-wide", McConfig(_LANE_REPS, 1))
         assert counting_threads == [2] and processes == []
+
+    def test_workers_cap_the_lanes(self, counting_threads, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a run started a process")
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", no_process)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+        for workers in (1, 2, 3, 4):  # three blocks
+            _lane_values("none-wide", McConfig(_LANE_REPS, 1, workers=workers))
+        _lane_values("none-wide", McConfig(BLOCK_REPS, 1, workers=4))  # one block
+        assert counting_threads == [1, 2, 2]  # min(workers, blocks) - 1 besides this one
 
     def test_lanes_follow_the_available_cpus(self, counting_threads, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
