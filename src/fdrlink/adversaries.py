@@ -22,7 +22,8 @@ ascending nulls, a float argmax of ``j / c_j`` with ``c_j`` the smallest
 ``c >= 1`` for which ``p_(j) <= alpha * c / n``, refined in exact rational
 arithmetic only on rows with float-tied candidates, ties to the largest rank.
 A one-pass float envelope ``(alpha / n) * j / p_(j)`` screens the columns, so
-``c_j`` is worked out only where the row maximum can be.
+``c_j`` is worked out only where the row maximum can be. The worst-case
+limit constant in ``mc`` runs the same kernel on partial sums with ``n = 1``.
 Each adversary spec owns its row-wise planted-zero count (``plant``); the
 scalar functions here are one-row calls.
 """
@@ -204,7 +205,7 @@ def _checked_nulls(null_pvalues) -> np.ndarray:
     arr = np.asarray(null_pvalues, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a non-empty vector of null p-values")
-    if np.any((arr <= 0.0) | (arr > 1.0)):
+    if not np.all((arr > 0.0) & (arr <= 1.0)):  # NaN fails too
         raise ValueError("adversary constructions require null p-values in (0, 1]")
     return arr
 

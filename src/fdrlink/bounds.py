@@ -41,7 +41,6 @@ __all__ = [
     "fdx_bound",
     "guo_rao_reference",
     "bound_report",
-    "BOUND_NAMES",
 ]
 
 
@@ -222,9 +221,6 @@ class AlphaInterval:
     def is_empty(self) -> bool:
         return not self.lower < self.upper
 
-    def contains(self, alpha: float) -> bool:
-        return self.lower < alpha < self.upper
-
     def grid(self, count: int) -> np.ndarray:
         """`count` interior points, evenly spaced (empty array if empty)."""
         if self.is_empty:
@@ -308,6 +304,3 @@ def bound_report(name: str, *, n: int | None = None, n0: int | None = None,
     if name == "guo_rao":
         return _clamped_report(name, _guo_rao_raw(n, alpha), **params)
     raise ValueError(f"unknown bound name: {name!r}")
-
-
-BOUND_NAMES = ("prdn", "prdn_pi0", "log_correction", "arbitrary_dep", "fdx", "guo_rao")

@@ -102,6 +102,11 @@ def _equicorrelate(z: np.ndarray, rho: float) -> np.ndarray:
     return a * z + (b - a) * z.mean(axis=-1, keepdims=True)
 
 
+def _check_mu_alt(mu_alt) -> None:
+    if not math.isfinite(mu_alt):
+        raise ValueError(f"mu_alt must be finite, got {mu_alt!r}")
+
+
 def _check_counts(n0, n1) -> None:
     if not (is_int(n0) and is_int(n1) and n0 >= 1 and n1 >= 0):
         raise ValueError(f"need integers n0 >= 1 and n1 >= 0, got n0={n0!r}, n1={n1!r}")
@@ -152,6 +157,7 @@ class EquicorrelatedNormal:
     def __post_init__(self) -> None:
         _check_counts(self.n0, self.n1)
         _check_sided(self.sided)
+        _check_mu_alt(self.mu_alt)
         if not self.rho < 1.0:
             raise ValueError(f"rho must be < 1, got {self.rho}")
         if self.n0 >= 2 and self.rho < -1.0 / (self.n0 - 1) - 1e-15:
@@ -219,6 +225,8 @@ class PrdnGaussian:
         mu = np.zeros(dim) if self.mu is None else np.asarray(self.mu, dtype=float)
         if mu.shape != (dim,):
             raise ValueError("mu must match sigma's dimension")
+        if not np.isfinite(mu).all():
+            raise ValueError("mu must be finite")
         if np.any(mu[list(idx)] != 0.0):
             raise ValueError("mean must be zero on the nulls")
         object.__setattr__(self, "sigma", _readonly(sigma))
@@ -284,6 +292,7 @@ class BlockDependent:
             raise ValueError(f"block sizes must be positive integers, got {self.block_sizes!r}")
         object.__setattr__(self, "block_sizes", sizes)
         _check_sided(self.sided)
+        _check_mu_alt(self.mu_alt)
         if self.within not in ("identical", "equicorrelated"):
             raise ValueError("within must be 'identical' or 'equicorrelated'")
         if self.within == "equicorrelated":
@@ -453,9 +462,10 @@ def two_sided_from_one_sided(p):
     Maps Uniform(0, 1) to Uniform(0, 1); accepts scalars or arrays.
     """
     arr = np.asarray(p, dtype=float)
-    if np.any((arr < 0.0) | (arr > 1.0)):
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
         raise ValueError("p-values must lie in [0, 1]")
-    folded = np.where(arr <= 0.5, 2.0 * arr, 2.0 * (1.0 - arr))
+    # Above 1/2, 1 - p is exact and the smaller of the two.
+    folded = 2.0 * np.minimum(arr, 1.0 - arr)
     return float(folded) if np.isscalar(p) or arr.ndim == 0 else folded
 
 

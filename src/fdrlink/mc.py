@@ -27,7 +27,8 @@ calling thread.
 A row of the worst-case limit constant draws a fixed budget of
 standard-exponential values (see :func:`estimate_worst_fdr_limit`); a row
 chunk draws them in one call, which consumes the stream as one row after
-another does.
+another does. Its partial sums go through the same rank/ceiling kernel as
+the adversaries, ``anchor_choice`` with ``n = 1``.
 
 Pipeline for FDR-type targets, row-wise over a chunk of replications: sample
 the nulls, apply the adversary (or keep the generated non-nulls when no
@@ -53,7 +54,7 @@ from .adversaries import (AdversarySpec, InformedAdversary, MostAntiConservative
                           anchor_choice)
 from .bounds import EmpiricalCurve, fdr_link_bound
 from .dependence import GeneratorSpec, restrict_to_nulls, sample_null_rows, sample_rows
-from .procedures import simes_sorted, snap_ceil_array, step_count
+from .procedures import simes_sorted, step_count
 from .study import is_int
 
 __all__ = [
@@ -128,6 +129,8 @@ class McConfig:
     def __post_init__(self) -> None:
         if not (is_int(self.reps) and self.reps >= 1):
             raise ValueError(f"reps must be an integer >= 1, got {self.reps!r}")
+        if not is_int(self.master_seed):
+            raise ValueError(f"master_seed must be an integer, got {self.master_seed!r}")
         if self.workers is not None and not (is_int(self.workers) and self.workers >= 1):
             raise ValueError(f"workers must be None or an integer >= 1, got {self.workers!r}")
 
@@ -224,25 +227,13 @@ class _LimitTask:
         return 1024 * max(1, math.ceil(20.0 * self.alpha))
 
     def rows(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Each row's largest ``j / snap_ceil(S_j / alpha)`` over its partial
-        sums, clipped to ``[alpha, 1]``.
-
-        The ratio is at most ``alpha * j / S_j`` up to rounding, so only
-        columns where that envelope reaches the exact ratio at the envelope's
-        own argmax can hold the maximum."""
+        """Each row's largest ``j / c_j`` over its partial sums ``S_j``, with
+        ``c_j`` the smallest ``c >= 1`` for which ``S_j <= alpha * c``: the
+        anchor kernel on the sums with ``n = 1``, clipped to ``[alpha, 1]``."""
         sums = rng.standard_exponential((count, self.width))
         np.cumsum(sums, axis=1, out=sums)
-        ranks = np.arange(1.0, sums.shape[1] + 1)
-        with np.errstate(divide="ignore"):  # a zero draw makes S_1 = 0
-            envelope = ranks / sums
-            top = envelope.argmax(axis=1)
-            lower = ranks[top] / snap_ceil_array(sums[np.arange(count), top] / self.alpha)
-            screen = envelope >= (lower * (1.0 - 1e-9) / self.alpha)[:, None]
-            row, col = np.divmod(np.flatnonzero(screen), sums.shape[1])
-            ratios = ranks[col] / snap_ceil_array(sums[row, col] / self.alpha)
-        best = np.zeros(count)
-        np.maximum.at(best, row, ratios)
-        return np.clip(best, self.alpha, 1.0)
+        rank, ceiling = anchor_choice(sums, 1, self.alpha)
+        return np.clip(rank / ceiling, self.alpha, 1.0)
 
 
 def _block_values(task, master_seed: int, reps: int, first: int, stop: int) -> np.ndarray:

@@ -36,7 +36,6 @@ __all__ = [
     "simes_rejects",
     "fdp_upper_bound",
     "min_rejections_for",
-    "snap_ceil_array",
     "threshold_ceil",
 ]
 
@@ -55,17 +54,6 @@ def _check_nulls(null_pvalues) -> np.ndarray:
     if np.any((arr < 0.0) | (arr > 1.0)) or np.any(~np.isfinite(arr)):
         raise ValueError("null p-values must lie in [0, 1]")
     return arr
-
-
-def snap_ceil_array(x: np.ndarray) -> np.ndarray:
-    """Ceiling with a guard that snaps values within one ulp of an integer,
-    elementwise; returns integer-valued floats.
-
-    Prevents ``ceil(2.0000000000000004) == 3`` artifacts when the argument
-    was produced by a float multiply/divide chain.
-    """
-    nearest = np.rint(x)
-    return np.where(np.abs(x - nearest) <= np.spacing(x), nearest, np.ceil(x))
 
 
 def threshold_ceil(p: np.ndarray, n: int, alpha: float) -> np.ndarray:

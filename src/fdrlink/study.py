@@ -88,13 +88,6 @@ class PValueStudy:
     def nonnull_pvalues(self) -> np.ndarray:
         return self.pvalues[~self.null_mask]
 
-    def permuted(self, order) -> "PValueStudy":
-        """The same study with hypotheses re-indexed by `order`."""
-        idx = np.asarray(order, dtype=int)
-        if sorted(idx.tolist()) != list(range(self.n)):
-            raise ValueError("order must be a permutation of the study indices")
-        return PValueStudy(self.pvalues[idx], self.null_mask[idx])
-
 
 @dataclass(frozen=True)
 class RejectionOutcome:

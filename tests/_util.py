@@ -13,7 +13,6 @@ import numpy as np
 from fdrlink import (FixedZerosAdversary, InformedAdversary, MostAntiConservativeAdversary,
                      PValueStudy, RejectionOutcome)
 from fdrlink.mc import BLOCK_REPS, block_rng
-from fdrlink.procedures import snap_ceil_array
 
 # Asymptotic Kolmogorov-Smirnov critical coefficient at the 1% level:
 # sqrt(-0.5 * ln(0.005)). Critical distance = KS_COEFF_1PCT / sqrt(n).
@@ -53,12 +52,24 @@ def anchor_oracle(nulls_sorted, n: int, alpha: float, n1=None, first_rank: int =
     return best
 
 
+def limit_ceil_oracle(sums: np.ndarray, alpha: float) -> np.ndarray:
+    """Elementwise smallest ``c >= 1`` with ``S <= alpha * c`` in floats:
+    each entry starts from ``ceil(S / alpha)`` and steps until the
+    comparison holds at c and fails at ``c - 1`` (or ``c == 1``)."""
+    c = np.maximum(np.ceil(sums / alpha), 1.0)
+    while True:
+        up = sums > alpha * c
+        down = (c > 1.0) & (sums <= alpha * (c - 1.0))
+        if not (up.any() or down.any()):
+            return c
+        c += up
+        c -= down
+
+
 def limit_ratios(sums: np.ndarray, alpha: float) -> np.ndarray:
-    """The exact ratios ``j / ceil(S_j / alpha)`` on every column of a row (or
-    rows) of partial sums, with the ceiling convention of
-    :func:`fdrlink.procedures.snap_ceil_array`."""
-    with np.errstate(divide="ignore"):  # a zero draw makes S_1 = 0
-        return np.arange(1.0, sums.shape[-1] + 1) / snap_ceil_array(sums / alpha)
+    """The exact ratios ``j / c_j`` on every column of a row (or rows) of
+    partial sums, with the ceilings of :func:`limit_ceil_oracle`."""
+    return np.arange(1.0, sums.shape[-1] + 1) / limit_ceil_oracle(sums, alpha)
 
 
 def limit_oracle(alpha: float, budget: int, reps: int, master_seed: int) -> np.ndarray:

@@ -129,6 +129,15 @@ class TestMaxFdpRank:
         with pytest.raises(ValueError):
             max_fdp_rank([], 10, 0.1)
 
+    @pytest.mark.parametrize("call", [
+        lambda: max_fdp_rank([np.nan, 0.01], 10, 0.05),
+        lambda: feasible_max_fdp_rank([np.nan, 0.01], 8, 10, 0.05),
+        lambda: masked_zero_count([0.01, np.nan], 10, 8, 0.05),
+    ], ids=["max_fdp_rank", "feasible_max_fdp_rank", "masked_zero_count"])
+    def test_rejects_nan_nulls(self, call):
+        with pytest.raises(ValueError, match=r"null p-values in \(0, 1\]"):
+            call()
+
 
 class TestInformedAdversary:
     def test_known_zero_count(self):

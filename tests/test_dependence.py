@@ -126,6 +126,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BlockDependent((3,), null_mask=[True, False])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: EquicorrelatedNormal(50, 50, 0.1, mu_alt=np.nan), "mu_alt must be finite"),
+        (lambda: BlockDependent((2,) * 50, "equicorrelated", 0.3, np.arange(100) < 50,
+                                mu_alt=np.nan), "mu_alt must be finite"),
+        (lambda: PrdnGaussian(np.eye(4), (0, 1), np.array([0, 0, np.nan, 1.0])),
+         "mu must be finite"),
+    ], ids=["equicorrelated", "block", "prdn"])
+    def test_nonfinite_means_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_counts(self):
         spec = TwoSidedWrap(EquicorrelatedNormal(10, 5, 0.2))
         assert (spec.n, spec.n0, spec.n1) == (15, 10, 5)
@@ -310,6 +321,9 @@ class TestTwoSidedTransform:
             two_sided_from_one_sided(1.2)
         with pytest.raises(ValueError):
             two_sided_from_one_sided(-0.1)
+        with pytest.raises(ValueError):
+            two_sided_from_one_sided(np.nan)
+        assert two_sided_from_one_sided(np.array([])).size == 0
 
     def test_uniform_to_uniform(self):
         rng = np.random.default_rng(26)

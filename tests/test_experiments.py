@@ -309,9 +309,12 @@ class TestCli:
         ("generator", {"type": "block", "block_sizes": [2], "within": "equicorrelated",
                        "rho_w": [0.5]}, "rho_w"),
         ("generator", {"type": "equicorrelated_normal", "n0": 5, "mu_alt": False}, "mu_alt"),
+        ("generator", {"type": "equicorrelated_normal", "n0": 5, "mu_alt": float("nan")},
+         "mu_alt"),
     ], ids=["reps-2.5", "reps-true", "reps-abc", "reps-null", "master_seed-x", "alpha_grid-x",
             "alpha_grid-null", "gamma_grid-x", "n0-2.5", "n1-true", "zeros-1.9",
-            "null_idx-1.5", "block_sizes-true", "rho-text", "rho_w-list", "mu_alt-false"])
+            "null_idx-1.5", "block_sizes-true", "rho-text", "rho_w-list", "mu_alt-false",
+            "mu_alt-nan"])
     def test_bad_number_exit_code(self, tmp_path, capsys, key, value, field):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"schema": 1, "preset": "E1", key: value,

@@ -130,6 +130,9 @@ class TestSeeding:
             with pytest.raises(ValueError, match="workers"):
                 McConfig(reps=10, workers=workers)
         assert McConfig(10, workers=None).workers is None
+        for seed in (1.5, True, "3"):
+            with pytest.raises(ValueError, match="master_seed"):
+                McConfig(300, seed)
 
 
 # Three blocks, the last one partial.
