@@ -169,7 +169,7 @@ class FixedZerosAdversary:
 
     def __post_init__(self) -> None:
         if not (is_int(self.zeros) and self.zeros >= 0):
-            raise ValueError(f"zero count must be an integer >= 0, got {self.zeros!r}")
+            raise ValueError(f"zeros must be an integer >= 0, got {self.zeros!r}")
 
     def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> tuple[np.ndarray, dict]:
         if self.zeros > n1:

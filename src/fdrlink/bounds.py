@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .study import is_int
+from .study import check_open_unit, is_int, is_real
 
 __all__ = [
     "LinearCurve",
@@ -44,18 +44,10 @@ __all__ = [
 ]
 
 
-def _check_open_unit(name: str, x: float) -> float:
-    x = float(x)
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"{name} must lie strictly inside (0, 1), got {x}")
-    return x
-
-
 def _check_pi0(pi0: float) -> float:
-    pi0 = float(pi0)
-    if not 0.0 < pi0 <= 1.0:
-        raise ValueError(f"pi0 must lie in (0, 1], got {pi0}")
-    return pi0
+    if not (is_real(pi0) and 0.0 < pi0 <= 1.0):
+        raise ValueError(f"pi0 must be a real number in (0, 1], got {pi0!r}")
+    return float(pi0)
 
 
 @dataclass(frozen=True)
@@ -73,7 +65,7 @@ class LinearCurve:
 
     def tail_integral(self, a: float) -> float:
         """integral_a^1 min(slope*x, 1) / x**2 dx, exactly."""
-        a = _check_open_unit("lower limit", a)
+        a = check_open_unit("lower limit", a)
         c = self.slope
         if c <= 1.0:
             return c * math.log(1.0 / a)
@@ -91,7 +83,7 @@ class WorstCaseCurve:
         return 1.0
 
     def tail_integral(self, a: float) -> float:
-        a = _check_open_unit("lower limit", a)
+        a = check_open_unit("lower limit", a)
         return 1.0 / a - 1.0
 
 
@@ -123,7 +115,7 @@ class EmpiricalCurve:
         return np.searchsorted(self.knots, x, side="right") / self.knots.size
 
     def tail_integral(self, a: float) -> float:
-        a = _check_open_unit("lower limit", a)
+        a = check_open_unit("lower limit", a)
         m = self.knots.size
         inside = self.knots[(self.knots > a) & (self.knots < 1.0)]
         # Breakpoints of the step function on (a, 1]; F is constant between them.
@@ -137,7 +129,7 @@ NullFdrCurve = Union[LinearCurve, WorstCaseCurve, EmpiricalCurve]
 
 def link_bound_raw(level: float, curve: NullFdrCurve) -> float:
     """``level + level * integral_level^1 F(x)/x**2 dx`` without clamping."""
-    level = _check_open_unit("level", level)
+    level = check_open_unit("level", level)
     return level + level * curve.tail_integral(level)
 
 
@@ -145,14 +137,14 @@ def fdr_link_bound(pi0: float, alpha: float, curve: NullFdrCurve) -> float:
     """FDR ceiling for any compliant procedure at `alpha`, given the curve of
     the step-up FDR on the nulls alone. Clamped to [0, 1]."""
     pi0 = _check_pi0(pi0)
-    alpha = _check_open_unit("alpha", alpha)
+    alpha = check_open_unit("alpha", alpha)
     return min(max(link_bound_raw(pi0 * alpha, curve), 0.0), 1.0)
 
 
 def prdn_bound(alpha: float) -> float:
     """FDR ceiling ``alpha + alpha * log(1/alpha)`` for positively regression
     dependent nulls, regardless of how the non-nulls depend on them."""
-    alpha = _check_open_unit("alpha", alpha)
+    alpha = check_open_unit("alpha", alpha)
     return alpha + alpha * math.log(1.0 / alpha)
 
 
@@ -160,7 +152,7 @@ def prdn_bound_pi0(pi0: float, alpha: float) -> float:
     """Sharper form ``pi0*alpha + pi0*alpha * log(1/(pi0*alpha))``; never
     exceeds :func:`prdn_bound` since ``t + t*log(1/t)`` increases on (0, 1]."""
     pi0 = _check_pi0(pi0)
-    alpha = _check_open_unit("alpha", alpha)
+    alpha = check_open_unit("alpha", alpha)
     t = pi0 * alpha
     return t + t * math.log(1.0 / t)
 
@@ -186,7 +178,7 @@ def harmonic(n: int) -> float:
 
 
 def _log_correction_raw(n: int, pi0: float, alpha: float) -> float:
-    return harmonic(n) * _check_pi0(pi0) * _check_open_unit("alpha", alpha)
+    return harmonic(n) * _check_pi0(pi0) * check_open_unit("alpha", alpha)
 
 
 def log_correction_bound(n: int, pi0: float, alpha: float) -> float:
@@ -202,7 +194,7 @@ def arbitrary_dep_bound(n0: int, pi0: float, alpha: float) -> float:
     :func:`fdr_link_bound` with a ``LinearCurve(S(n0))``.
     """
     pi0 = _check_pi0(pi0)
-    alpha = _check_open_unit("alpha", alpha)
+    alpha = check_open_unit("alpha", alpha)
     s = harmonic(n0)
     t = s * pi0 * alpha
     if t >= 1.0:
@@ -245,7 +237,7 @@ def improvement_range(n: int, n0: int, pi0: float) -> AlphaInterval:
 
 
 def _fdx_raw(pi0: float, alpha: float, gamma: float) -> float:
-    return _check_pi0(pi0) * _check_open_unit("alpha", alpha) / _check_open_unit("gamma", gamma)
+    return _check_pi0(pi0) * check_open_unit("alpha", alpha) / check_open_unit("gamma", gamma)
 
 
 def fdx_bound(pi0: float, alpha: float, gamma: float) -> float:
@@ -256,7 +248,7 @@ def fdx_bound(pi0: float, alpha: float, gamma: float) -> float:
 
 
 def _guo_rao_raw(n: int, alpha: float) -> float:
-    return harmonic(n) * _check_open_unit("alpha", alpha)
+    return harmonic(n) * check_open_unit("alpha", alpha)
 
 
 def guo_rao_reference(n: int, alpha: float) -> float:

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .study import PValueStudy, is_int
+from .study import PValueStudy, is_int, is_real
 
 __all__ = [
     "IidUniform",
@@ -102,14 +102,16 @@ def _equicorrelate(z: np.ndarray, rho: float) -> np.ndarray:
     return a * z + (b - a) * z.mean(axis=-1, keepdims=True)
 
 
-def _check_mu_alt(mu_alt) -> None:
-    if not math.isfinite(mu_alt):
-        raise ValueError(f"mu_alt must be finite, got {mu_alt!r}")
+def _check_finite(name: str, x) -> None:
+    if not (is_real(x) and math.isfinite(x)):
+        raise ValueError(f"{name} must be finite and real, got {x!r}")
 
 
 def _check_counts(n0, n1) -> None:
-    if not (is_int(n0) and is_int(n1) and n0 >= 1 and n1 >= 0):
-        raise ValueError(f"need integers n0 >= 1 and n1 >= 0, got n0={n0!r}, n1={n1!r}")
+    if not (is_int(n0) and n0 >= 1):
+        raise ValueError(f"n0 must be an integer >= 1, got {n0!r}")
+    if not (is_int(n1) and n1 >= 0):
+        raise ValueError(f"n1 must be an integer >= 0, got {n1!r}")
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,8 @@ class EquicorrelatedNormal:
     def __post_init__(self) -> None:
         _check_counts(self.n0, self.n1)
         _check_sided(self.sided)
-        _check_mu_alt(self.mu_alt)
+        _check_finite("rho", self.rho)
+        _check_finite("mu_alt", self.mu_alt)
         if not self.rho < 1.0:
             raise ValueError(f"rho must be < 1, got {self.rho}")
         if self.n0 >= 2 and self.rho < -1.0 / (self.n0 - 1) - 1e-15:
@@ -217,9 +220,10 @@ class PrdnGaussian:
         if not np.allclose(np.diag(sigma), 1.0, atol=1e-10):
             raise ValueError("sigma must have unit diagonal")
         dim = sigma.shape[0]
-        idx = tuple(sorted(self.null_idx))
-        if len(set(idx)) != len(idx) or not idx or not all(is_int(i) for i in idx):
+        idx = tuple(self.null_idx)
+        if not idx or not all(is_int(i) for i in idx) or len(set(idx)) != len(idx):
             raise ValueError("null_idx must be a non-empty set of distinct integer indices")
+        idx = tuple(sorted(idx))
         if idx[0] < 0 or idx[-1] >= dim:
             raise ValueError("null_idx out of range")
         mu = np.zeros(dim) if self.mu is None else np.asarray(self.mu, dtype=float)
@@ -289,10 +293,12 @@ class BlockDependent:
     def __post_init__(self) -> None:
         sizes = tuple(self.block_sizes)
         if not sizes or not all(is_int(b) and b >= 1 for b in sizes):
-            raise ValueError(f"block sizes must be positive integers, got {self.block_sizes!r}")
+            raise ValueError(f"block_sizes must be positive integers, got {self.block_sizes!r}")
         object.__setattr__(self, "block_sizes", sizes)
         _check_sided(self.sided)
-        _check_mu_alt(self.mu_alt)
+        _check_finite("mu_alt", self.mu_alt)
+        if self.rho_w is not None:
+            _check_finite("rho_w", self.rho_w)
         if self.within not in ("identical", "equicorrelated"):
             raise ValueError("within must be 'identical' or 'equicorrelated'")
         if self.within == "equicorrelated":

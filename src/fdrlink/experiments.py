@@ -28,7 +28,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -66,7 +66,7 @@ from .dependence import (
 )
 from .mc import (McConfig, check_procedure, estimate_fdr, estimate_fdx, estimate_worst_fdr_limit,
                  verify_linking)
-from .study import is_int
+from .study import check_open_unit, is_int
 
 __all__ = [
     "ConfigError",
@@ -194,7 +194,7 @@ def load_matrix(path) -> np.ndarray:
     The matrix must be square, finite and symmetric."""
     try:
         lines = Path(path).read_text().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, TypeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read matrix file {path}: {exc}") from exc
     try:
         rows = [[float(tok) for tok in line.split()] for line in lines if line.strip()]
@@ -214,86 +214,70 @@ def load_matrix(path) -> np.ndarray:
 # Config parsing
 # ---------------------------------------------------------------------------
 
-_GENERATOR_KEYS = {
-    "iid_uniform": {"n0", "n1"},
-    "equicorrelated_normal": {"n0", "n1", "rho", "sided", "mu_alt"},
-    "prdn_gaussian": {"sigma_file", "null_idx", "sided"},
-    "block": {"block_sizes", "within", "rho_w", "null_mask", "mu_alt", "sided"},
-    "two_sided_wrap": {"inner"},
+# A config node's ``type`` names a spec class; its other keys are that
+# class's constructor arguments (see _config_keys), checked by the class.
+_GENERATORS = {
+    "iid_uniform": IidUniform,
+    "equicorrelated_normal": EquicorrelatedNormal,
+    "prdn_gaussian": PrdnGaussian,
+    "block": BlockDependent,
+    "two_sided_wrap": TwoSidedWrap,
+}
+_ADVERSARIES = {
+    "informed": InformedAdversary,
+    "most_anti_conservative": MostAntiConservativeAdversary,
+    "bonferroni_masked": BonferroniMaskedAdversary,
+    "fixed_zeros": FixedZerosAdversary,
 }
 
 
-def generator_from_config(node: Mapping) -> GeneratorSpec:
-    if not isinstance(node, Mapping) or "type" not in node:
-        raise ConfigError("generator config must be an object with a 'type' key")
-    kind = node["type"]
-    if kind not in _GENERATOR_KEYS:
-        raise ConfigError(f"unknown generator type {kind!r}")
-    extra = set(node) - _GENERATOR_KEYS[kind] - {"type"}
-    if extra:
-        raise ConfigError(f"unknown generator keys {sorted(extra)} for type {kind!r}")
-    try:
-        if kind == "iid_uniform":
-            return IidUniform(_int_field(node, "n0"), _int_field(node, "n1", 0))
-        if kind == "equicorrelated_normal":
-            return EquicorrelatedNormal(
-                _int_field(node, "n0"), _int_field(node, "n1", 0), _number_field(node, "rho", 0.0),
-                str(node.get("sided", "one")), _number_field(node, "mu_alt", 2.0))
-        if kind == "prdn_gaussian":
-            null_idx = _int_list(node, "null_idx")
-            return PrdnGaussian(load_matrix(node["sigma_file"]), null_idx, None,
-                                str(node.get("sided", "one")))
-        if kind == "block":
-            mask = node.get("null_mask")
-            if mask is not None and not (isinstance(mask, list)
-                                         and all(isinstance(v, bool) for v in mask)):
-                raise ConfigError(f"null_mask must be a list of booleans, got {mask!r}")
-            return BlockDependent(
-                _int_list(node, "block_sizes"), str(node.get("within", "identical")),
-                None if node.get("rho_w") is None else _number_field(node, "rho_w", None),
-                None if mask is None else np.asarray(mask, dtype=bool),
-                _number_field(node, "mu_alt", 2.0), str(node.get("sided", "one")))
-        return TwoSidedWrap(generator_from_config(node["inner"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid generator config: {exc}") from exc
+def _config_keys(cls) -> set[str]:
+    """The keys besides ``type`` of a config node of class `cls`: its
+    constructor's arguments, except that a PrdnGaussian reads `sigma` from
+    ``sigma_file`` and keeps its mean `mu` at zero."""
+    keys = {f.name for f in fields(cls) if f.init}
+    return keys - {"sigma", "mu"} | {"sigma_file"} if cls is PrdnGaussian else keys
 
 
-def adversary_from_config(node: Optional[Mapping]) -> Optional[AdversarySpec]:
-    if node is None:
-        return None
+def _spec_from_config(node, registry: Mapping[str, type], what: str):
     if not isinstance(node, Mapping) or "type" not in node:
-        raise ConfigError("adversary config must be an object with a 'type' key")
+        raise ConfigError(f"{what} config must be an object with a 'type' key")
     kind = node["type"]
-    allowed = {
-        "informed": set(),
-        "most_anti_conservative": set(),
-        "bonferroni_masked": {"strategy"},
-        "fixed_zeros": {"zeros"},
-    }
-    if kind not in allowed:
-        raise ConfigError(f"unknown adversary type {kind!r}")
-    extra = set(node) - allowed[kind] - {"type"}
+    if not isinstance(kind, str) or kind not in registry:
+        raise ConfigError(f"unknown {what} type {kind!r}")
+    cls = registry[kind]
+    args = {key: value for key, value in node.items() if key != "type"}
+    extra = set(args) - _config_keys(cls)
     if extra:
-        raise ConfigError(f"unknown adversary keys {sorted(extra)} for type {kind!r}")
+        raise ConfigError(f"unknown {what} keys {sorted(extra)} for type {kind!r}")
+    mask = args.get("null_mask")
+    if mask is not None and not (isinstance(mask, list)
+                                 and all(isinstance(v, bool) for v in mask)):
+        raise ConfigError(f"null_mask must be a list of booleans, got {mask!r}")
+    if cls is PrdnGaussian and "sigma_file" in args:
+        args["sigma"] = load_matrix(args.pop("sigma_file"))
+    if cls is TwoSidedWrap and "inner" in args:
+        args["inner"] = _spec_from_config(args["inner"], registry, what)
     try:
-        if kind == "informed":
-            return InformedAdversary()
-        if kind == "most_anti_conservative":
-            return MostAntiConservativeAdversary()
-        if kind == "bonferroni_masked":
-            return BonferroniMaskedAdversary(str(node.get("strategy", "shifted_argmax")))
-        return FixedZerosAdversary(_int_field(node, "zeros", 0))
+        return cls(**args)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid adversary config: {exc}") from exc
+        raise ConfigError(f"invalid {what} config: {exc}") from exc
 
 
 _TOP_KEYS = {"schema", "preset", "name", "generator", "adversary", "procedure",
              "alpha_grid", "gamma_grid", "reps", "master_seed", "out_dir", "workers"}
+# The fields that describe a custom experiment; a preset fixes its own.
+_CUSTOM_KEYS = ("generator", "adversary", "procedure", "alpha_grid", "gamma_grid")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A preset reference or an explicit experiment description."""
+    """A preset reference or an explicit experiment description.
+
+    `reps`, `master_seed` and `workers` are checked as :class:`McConfig`
+    checks them. A preset config leaves the custom fields (generator,
+    adversary, procedure and the grids) at their defaults.
+    """
 
     preset: Optional[str] = None
     name: str = "custom"
@@ -308,67 +292,37 @@ class ExperimentConfig:
     workers: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.preset is None:
+        try:
+            self.mc()
+            for key in ("alpha_grid", "gamma_grid"):
+                values = getattr(self, key)
+                if not isinstance(values, (list, tuple)):
+                    raise ValueError(f"{key} must be a list of numbers, got {values!r}")
+                object.__setattr__(self, key, tuple(check_open_unit(key, v) for v in values))
+            if not isinstance(self.out_dir, (str, os.PathLike)):
+                raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
+            object.__setattr__(self, "out_dir", Path(self.out_dir))
+            if self.preset is not None:
+                if not isinstance(self.preset, str):
+                    raise ValueError(f"preset must be a string, got {self.preset!r}")
+                given = [f.name for f in fields(self)
+                         if f.name in _CUSTOM_KEYS and getattr(self, f.name) != f.default]
+                if given:
+                    raise ValueError(f"a preset config takes no {', '.join(given)}")
+                return
             if self.generator is None:
-                raise ConfigError("custom configs need a generator")
+                raise ValueError("custom configs need a generator")
             if not self.alpha_grid:
-                raise ConfigError("custom configs need a non-empty alpha_grid")
+                raise ValueError("custom configs need a non-empty alpha_grid")
             if not (isinstance(self.name, str) and self.name
                     and Path(self.name).name == self.name):
-                raise ConfigError(f"name must be a plain file name, got {self.name!r}")
-            try:
-                check_procedure(self.procedure, self.adversary)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        for a in self.alpha_grid:
-            if not 0.0 < a < 1.0:
-                raise ConfigError(f"alpha grid values must lie in (0, 1), got {a}")
-        for g in self.gamma_grid:
-            if not 0.0 < g < 1.0:
-                raise ConfigError(f"gamma grid values must lie in (0, 1), got {g}")
-        if not is_int(self.reps) or self.reps < 1:
-            raise ConfigError(f"reps must be an integer >= 1, got {self.reps!r}")
-        if not is_int(self.master_seed):
-            raise ConfigError(f"master_seed must be an integer, got {self.master_seed!r}")
-        if self.workers is not None and (not is_int(self.workers) or self.workers < 1):
-            raise ConfigError(f"workers must be an integer >= 1, got {self.workers!r}")
+                raise ValueError(f"name must be a plain file name, got {self.name!r}")
+            check_procedure(self.procedure, self.adversary)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def mc(self) -> McConfig:
         return McConfig(reps=self.reps, master_seed=self.master_seed, workers=self.workers)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _int_field(node: Mapping, key: str, default: Optional[int] = None) -> int:
-    """``node[key]`` (or `default` when given and the key is absent) as a
-    plain integer."""
-    value = node[key] if default is None else node.get(key, default)
-    if not is_int(value):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _int_list(node: Mapping, key: str) -> tuple[int, ...]:
-    values = node[key]
-    if not isinstance(values, (list, tuple)) or not all(is_int(v) for v in values):
-        raise ConfigError(f"{key} must be a list of integers, got {values!r}")
-    return tuple(values)
-
-
-def _number_field(node: Mapping, key: str, default: Optional[float]) -> float:
-    value = node.get(key, default)
-    if not _is_number(value):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _grid(doc: Mapping, key: str) -> tuple[float, ...]:
-    values = doc.get(key, ())
-    if not isinstance(values, (list, tuple)) or not all(_is_number(v) for v in values):
-        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
-    return tuple(float(v) for v in values)
 
 
 def _is_existing_path(text: str) -> bool:
@@ -384,7 +338,8 @@ def load_config(source, *, env: Optional[Mapping[str, str]] = None,
                 overrides: Optional[Mapping] = None) -> ExperimentConfig:
     """Parse a config document (dict, JSON text, or file path).
 
-    Unknown keys are rejected; a ``schema`` field equal to 1 is required.
+    Unknown keys are rejected; a ``schema`` field equal to the integer 1 is
+    required. Each value is checked by the constructor that takes it.
     ``FDRLINK_SEED`` in `env` (default: the process environment) overrides the
     configured master seed, and `overrides` (e.g. from CLI flags) override
     both.
@@ -395,50 +350,38 @@ def load_config(source, *, env: Optional[Mapping[str, str]] = None,
         text = str(source)
         # A config document is a JSON object; never probe the filesystem with one.
         if not text.lstrip().startswith("{") and _is_existing_path(text):
-            text = Path(text).read_text()
+            try:
+                text = Path(text).read_text()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read config file {source}: {exc}") from exc
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
     extra = set(doc) - _TOP_KEYS
     if extra:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ConfigError(f"config schema must be {SCHEMA_VERSION}, got {doc.get('schema')!r}")
+    schema = doc.pop("schema", None)
+    if not (is_int(schema) and schema == SCHEMA_VERSION):
+        raise ConfigError(f"config schema must be the integer {SCHEMA_VERSION}, got {schema!r}")
 
+    doc.setdefault("name", doc.get("preset") or "custom")
+    if "generator" in doc:
+        doc["generator"] = _spec_from_config(doc["generator"], _GENERATORS, "generator")
+    if doc.get("adversary") is not None:
+        doc["adversary"] = _spec_from_config(doc["adversary"], _ADVERSARIES, "adversary")
     env = os.environ if env is None else env
-    seed = doc.get("master_seed", 20_240_808)
     if "FDRLINK_SEED" in env:
         try:
-            seed = int(env["FDRLINK_SEED"])
+            doc["master_seed"] = int(env["FDRLINK_SEED"])
         except ValueError as exc:
             raise ConfigError("FDRLINK_SEED must be an integer") from exc
-    out_dir = doc.get("out_dir", "fdrlink_out")
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
-    merged = dict(
-        preset=doc.get("preset"),
-        name=doc.get("name", doc.get("preset") or "custom"),
-        generator=generator_from_config(doc["generator"]) if "generator" in doc else None,
-        adversary=adversary_from_config(doc.get("adversary")),
-        procedure=doc.get("procedure", "step_up"),
-        alpha_grid=_grid(doc, "alpha_grid"),
-        gamma_grid=_grid(doc, "gamma_grid"),
-        reps=doc.get("reps", 20_000),
-        master_seed=seed,
-        out_dir=Path(out_dir),
-        workers=doc.get("workers"),
-    )
-    if overrides:
-        for key, value in overrides.items():
-            if value is not None:
-                merged[key] = value
-    try:
-        return ExperimentConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            doc[key] = value
+    return ExperimentConfig(**doc)
 
 
 # ---------------------------------------------------------------------------
@@ -701,12 +644,15 @@ PRESETS = {
 def _run_custom(cfg: ExperimentConfig) -> dict[str, tuple]:
     rows = []
     mc = cfg.mc()
-    for alpha in cfg.alpha_grid:
-        est = estimate_fdr(cfg.generator, cfg.adversary, cfg.procedure, alpha, mc)
-        rows.append(["fdr", alpha, "", est.mean, est.stderr])
-        for gamma in cfg.gamma_grid:
-            fx = estimate_fdx(cfg.generator, cfg.adversary, cfg.procedure, alpha, gamma, mc)
-            rows.append(["fdx", alpha, gamma, fx.mean, fx.stderr])
+    try:
+        for alpha in cfg.alpha_grid:
+            est = estimate_fdr(cfg.generator, cfg.adversary, cfg.procedure, alpha, mc)
+            rows.append(["fdr", alpha, "", est.mean, est.stderr])
+            for gamma in cfg.gamma_grid:
+                fx = estimate_fdx(cfg.generator, cfg.adversary, cfg.procedure, alpha, gamma, mc)
+                rows.append(["fdx", alpha, gamma, fx.mean, fx.stderr])
+    except ValueError as exc:  # the adversary cannot run on the generator
+        raise ConfigError(f"cannot run {cfg.name!r}: {exc}") from exc
     header = ("target", "alpha", "gamma", "mean", "stderr")
     return {f"{cfg.name}.csv": (header, rows)}
 

@@ -55,7 +55,7 @@ from .adversaries import (AdversarySpec, InformedAdversary, MostAntiConservative
 from .bounds import EmpiricalCurve, fdr_link_bound
 from .dependence import GeneratorSpec, restrict_to_nulls, sample_null_rows, sample_rows
 from .procedures import simes_sorted, step_count
-from .study import is_int
+from .study import check_open_unit, is_int
 
 __all__ = [
     "McConfig",
@@ -132,7 +132,7 @@ class McConfig:
         if not is_int(self.master_seed):
             raise ValueError(f"master_seed must be an integer, got {self.master_seed!r}")
         if self.workers is not None and not (is_int(self.workers) and self.workers >= 1):
-            raise ValueError(f"workers must be None or an integer >= 1, got {self.workers!r}")
+            raise ValueError(f"workers must be an integer >= 1 or None, got {self.workers!r}")
 
 
 @dataclass(frozen=True)
@@ -293,8 +293,7 @@ def fdp_values(gen: GeneratorSpec, adv: Optional[AdversarySpec], proc: str,
                alpha: float, cfg: McConfig) -> np.ndarray:
     """Per-replication false discovery proportions, in replication order;
     every FDP-type estimate is a reduction of this vector."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = check_open_unit("alpha", alpha)
     check_procedure(proc, adv)
     return _replication_values(_FdpTask(gen, adv, proc, alpha), cfg)
 
@@ -308,8 +307,7 @@ def estimate_fdr(gen: GeneratorSpec, adv: Optional[AdversarySpec], proc: str,
 def estimate_fdx(gen: GeneratorSpec, adv: Optional[AdversarySpec], proc: str,
                  alpha: float, gamma: float, cfg: McConfig) -> McEstimate:
     """Monte Carlo estimate of ``P(FDP >= gamma)``."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    gamma = check_open_unit("gamma", gamma)
     values = fdp_values(gen, adv, proc, alpha, cfg)
     return McEstimate.from_values((values >= gamma).astype(float), cfg)
 
@@ -348,8 +346,7 @@ def estimate_worst_fdr_limit(alpha: float, cfg: McConfig) -> McEstimate:
     1e5-replication estimate, at alpha = 0.5 and at the levels the presets
     and the acceptance suite use (a paired test checks this).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = check_open_unit("alpha", alpha)
     return McEstimate.from_values(_replication_values(_LimitTask(alpha), cfg), cfg)
 
 

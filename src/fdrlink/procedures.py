@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .study import PValueStudy, RejectionOutcome
+from .study import PValueStudy, RejectionOutcome, check_open_unit
 
 __all__ = [
     "bh_step_up",
@@ -38,13 +38,6 @@ __all__ = [
     "min_rejections_for",
     "threshold_ceil",
 ]
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    return alpha
 
 
 def _check_nulls(null_pvalues) -> np.ndarray:
@@ -96,7 +89,7 @@ def step_count(sorted_p: np.ndarray, n: int, alpha: float, proc: str,
 def _step_outcome(study: PValueStudy, alpha: float, proc: str) -> RejectionOutcome:
     # Both procedures reject exactly the p-values at or below alpha * R / n:
     # the R smallest all lie there and every larger one fails its threshold.
-    alpha = _check_alpha(alpha)
+    alpha = check_open_unit("alpha", alpha)
     r = int(step_count(np.sort(study.pvalues)[None], study.n, alpha, proc)[0])
     return RejectionOutcome.from_indices(study, np.nonzero(study.pvalues <= alpha * r / study.n)[0])
 
@@ -116,7 +109,7 @@ def bh_step_down(study: PValueStudy, alpha: float) -> RejectionOutcome:
 def is_compliant(study: PValueStudy, outcome: RejectionOutcome, alpha: float) -> bool:
     """True iff every rejected p-value satisfies ``p <= alpha * R / n`` for
     the outcome's own rejection count R. Vacuously true for empty outcomes."""
-    alpha = _check_alpha(alpha)
+    alpha = check_open_unit("alpha", alpha)
     idx = sorted(outcome.rejected)
     if idx and (idx[0] < 0 or idx[-1] >= study.n):
         raise ValueError("outcome indices out of range for the study")
@@ -144,9 +137,7 @@ def simes_pvalue(null_pvalues: Sequence[float]) -> float:
 
 def simes_rejects(null_pvalues: Sequence[float], x: float) -> bool:
     """Whether the Simes combination falls at or below level `x`."""
-    x = float(x)
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"level x must lie strictly inside (0, 1), got {x}")
+    x = check_open_unit("level x", x)
     return simes_pvalue(null_pvalues) <= x
 
 
@@ -159,7 +150,7 @@ def fdp_upper_bound(null_pvalues: Sequence[float], n: int, alpha: float) -> Frac
     """
     from .adversaries import anchor_choice  # adversaries builds on this module
 
-    alpha = _check_alpha(alpha)
+    alpha = check_open_unit("alpha", alpha)
     arr = _check_nulls(null_pvalues)
     n = int(n)
     if n < arr.size:

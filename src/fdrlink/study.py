@@ -6,6 +6,7 @@ read-only numpy arrays) and therefore safe to share across threads.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -18,6 +19,18 @@ __all__ = ["PValueStudy", "RejectionOutcome"]
 def is_int(value) -> bool:
     """A plain integer: ``2.5``, ``"3"`` and ``True`` are not."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number: ``True`` and ``"0.5"`` are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_open_unit(name: str, x) -> float:
+    """`x` as a float, once it is a real number strictly inside (0, 1)."""
+    if not (is_real(x) and 0.0 < x < 1.0):
+        raise ValueError(f"{name} must be a real number strictly inside (0, 1), got {x!r}")
+    return float(x)
 
 
 def _readonly_float_vector(values) -> np.ndarray:

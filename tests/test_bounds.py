@@ -148,6 +148,10 @@ class TestPrdnBounds:
             prdn_bound(0.0)
         with pytest.raises(ValueError):
             prdn_bound_pi0(0.0, 0.5)
+        with pytest.raises(ValueError, match="alpha must be a real number"):
+            prdn_bound("0.5")
+        with pytest.raises(ValueError):
+            prdn_bound(True)
 
 
 class TestHarmonic:

@@ -1,8 +1,10 @@
 """Tests for the experiment runner, config handling, and the CLI."""
 
+import inspect
 import json
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,13 @@ import pytest
 
 from fdrlink import (BlockDependent, EquicorrelatedNormal, FixedZerosAdversary, IidUniform,
                      McConfig, PrdnGaussian, TwoSidedWrap)
+from fdrlink.adversaries import AdversarySpec
 from fdrlink.cli import main
+from fdrlink.dependence import GeneratorSpec
 from fdrlink.experiments import (
+    _ADVERSARIES,
+    _GENERATORS,
+    _config_keys,
     ConfigError,
     ExperimentConfig,
     UnknownPresetError,
@@ -41,6 +48,32 @@ class TestConfigParsing:
             load_config({"preset": "E4"}, env={})
         with pytest.raises(ConfigError):
             load_config({"schema": 2, "preset": "E4"}, env={})
+        for schema in (True, 1.0):  # both equal 1
+            with pytest.raises(ConfigError, match="schema must be the integer 1"):
+                load_config({"schema": schema, "preset": "E4"}, env={})
+
+    @pytest.mark.parametrize("registry, kind", [
+        *((_GENERATORS, kind) for kind in _GENERATORS),
+        *((_ADVERSARIES, kind) for kind in _ADVERSARIES),
+    ])
+    def test_config_keys_are_constructor_arguments(self, registry, kind):
+        cls = registry[kind]
+        params = set(inspect.signature(cls).parameters)
+        if cls is PrdnGaussian:
+            params = params - {"sigma", "mu"} | {"sigma_file"}
+        assert _config_keys(cls) == params
+
+    def test_every_spec_class_has_a_config_type(self):
+        assert set(_GENERATORS.values()) == set(typing.get_args(GeneratorSpec))
+        assert set(_ADVERSARIES.values()) == set(typing.get_args(AdversarySpec))
+
+    def test_preset_takes_no_custom_fields(self):
+        with pytest.raises(ConfigError, match="a preset config takes no procedure"):
+            ExperimentConfig(preset="E1", procedure="bogus")
+        with pytest.raises(ConfigError, match="generator, alpha_grid"):
+            ExperimentConfig(preset="E1", generator=IidUniform(3), alpha_grid=(0.1,))
+        with pytest.raises(ConfigError, match="preset must be a string"):
+            ExperimentConfig(preset=["E1"])
 
     def test_env_seed_override_and_cli_precedence(self):
         doc = {"schema": 1, "preset": "E4", "master_seed": 1}
@@ -71,6 +104,8 @@ class TestConfigParsing:
         base = {"schema": 1, "alpha_grid": [0.1], "reps": 10}
         with pytest.raises(ConfigError):
             load_config({**base, "generator": {"type": "warp"}}, env={})
+        with pytest.raises(ConfigError, match="unknown generator type"):
+            load_config({**base, "generator": {"type": ["warp"]}}, env={})
         with pytest.raises(ConfigError):
             load_config({**base, "generator": {"type": "iid_uniform", "n0": 4, "zap": 1}},
                         env={})
@@ -316,6 +351,10 @@ class TestCli:
             "null_idx-1.5", "block_sizes-true", "rho-text", "rho_w-list", "mu_alt-false",
             "mu_alt-nan"])
     def test_bad_number_exit_code(self, tmp_path, capsys, key, value, field):
+        if isinstance(value, dict) and "sigma_file" in value:
+            # A readable matrix, so that PrdnGaussian gets to check null_idx.
+            (tmp_path / "s.txt").write_text("1 0\n0 1\n")
+            value = {**value, "sigma_file": str(tmp_path / "s.txt")}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"schema": 1, "preset": "E1", key: value,
                                    "out_dir": str(tmp_path / "out")}))
@@ -330,8 +369,14 @@ class TestCli:
          "null_mask must be"),
         ({"out_dir": 5}, "out_dir must be"),
         ({"name": "../escape"}, "name must be a plain file name"),
+        ({"generator": {"type": "iid_uniform", "n0": 3, "n1": 2},
+          "adversary": {"type": "fixed_zeros", "zeros": 5}}, "cannot plant 5 zeros"),
+        ({"generator": {"type": "iid_uniform", "n0": 1, "n1": 2},
+          "adversary": {"type": "bonferroni_masked"}}, "at least two nulls"),
+        ({"generator": {"type": "block", "block_sizes": [2, 2], "null_mask": [False] * 4}},
+         "no null components"),
     ], ids=["procedure-bogus", "mac-without-zeros", "null_mask-ints", "out_dir-int",
-            "name-with-dir"])
+            "name-with-dir", "zeros-above-n1", "masked-one-null", "block-no-nulls"])
     def test_bad_custom_field_exit_code(self, tmp_path, capsys, changes, message):
         doc = {"schema": 1, "name": "tiny", "generator": {"type": "iid_uniform", "n0": 10},
                "adversary": {"type": "informed"}, "alpha_grid": [0.1], "reps": 10,
@@ -342,6 +387,35 @@ class TestCli:
         assert main(["run", str(cfg)]) == 2
         assert message in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("key, value", [
+        ("generator", {"type": "iid_uniform", "n0": 3}), ("adversary", {"type": "informed"}),
+        ("procedure", "step_down"), ("alpha_grid", [0.3]), ("gamma_grid", [0.5]),
+    ])
+    def test_preset_rejects_custom_keys(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schema": 1, "preset": "E4", key: value,
+                                   "out_dir": str(tmp_path / "out")}))
+        assert main(["run", str(cfg)]) == 2
+        assert f"a preset config takes no {key}" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "Is a directory"),
+        (b"\xff\xfe{\x00}\x00", "codec can't decode"),
+        (b'{"schema": 1, "alpha_grid": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+         "recursion"),
+    ], ids=["directory", "utf-16", "deep-nesting"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, monkeypatch, content, message):
+        monkeypatch.chdir(tmp_path)
+        target = tmp_path / "cfg"
+        if content is None:
+            target.mkdir()
+        else:
+            target.write_bytes(content)
+        assert main(["run", str(target)]) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [target]
 
     @pytest.mark.parametrize("args", [
         ["--n", "0", "--n0", "0", "--alpha", "0.1"],

@@ -431,6 +431,10 @@ class TestFdx:
     def test_gamma_domain(self):
         with pytest.raises(ValueError):
             estimate_fdx(IidUniform(5, 0), None, "step_up", 0.1, 1.5, McConfig(2, 0))
+        with pytest.raises(ValueError, match="gamma must be a real number"):
+            estimate_fdx(IidUniform(5, 0), None, "step_up", 0.1, "0.5", McConfig(2, 0))
+        with pytest.raises(ValueError, match="alpha must be a real number"):
+            estimate_fdx(IidUniform(5, 0), None, "step_up", "0.1", 0.5, McConfig(2, 0))
 
     def test_bounded_by_fdx_envelope(self):
         cfg = McConfig(reps=10_000, master_seed=37)
