@@ -2,14 +2,17 @@
 checks for positive-dependence conditions on Gaussian covariances.
 
 Generator specs are declarative, immutable descriptions; sampling is a pure
-function of ``(spec, seed)``. A spec draws ``rows`` studies at once as a
-row-major ``(rows, width)`` matrix whose rows are consecutive in the
-generator's stream: the matrix equals ``rows`` successive one-row draws, so
-splitting a draw into row chunks changes no value. Null p-values are
-marginally Uniform(0, 1) under every Gaussian variant. Equicorrelated draws
-use the closed-form square root of the equicorrelation matrix (eigenvalues
-``1 - rho`` and ``1 + (n-1) * rho``), applied in O(n) per draw; a generic
-factorization is used only for arbitrary covariance matrices.
+function of ``(spec, seed)``. A spec's ``draw(rng, rows)`` draws ``rows``
+studies at once as a row-major ``(rows, n)`` matrix whose rows are
+consecutive in the generator's stream: the matrix equals ``rows`` successive
+one-row draws, so splitting a draw into row chunks changes no value. A
+spec's ``nulls_only()`` is the spec of its null components alone; every
+null-only draw, in the Monte Carlo engine and in :func:`sample_null_pvalues`,
+is a ``draw`` of that spec. Null p-values are marginally Uniform(0, 1) under
+every Gaussian variant. Equicorrelated draws use the closed-form square
+root of the equicorrelation matrix (eigenvalues ``1 - rho`` and
+``1 + (n-1) * rho``), applied in O(n) per draw; a generic factorization is
+used only for arbitrary covariance matrices.
 
 The normal CDF and quantile wrappers carry a contract of max absolute error
 at most 1e-12; they delegate to scipy's ``ndtr``/``ndtri``, which are
@@ -39,7 +42,6 @@ __all__ = [
     "sample_arrays",
     "sample_null_pvalues",
     "sample_rows",
-    "sample_null_rows",
     "restrict_to_nulls",
     "equicorrelated_sqrt",
     "two_sided_from_one_sided",
@@ -93,13 +95,17 @@ def _pvalues_from_z(z: np.ndarray, sided: str) -> np.ndarray:
 
 def _equicorrelate(z: np.ndarray, rho: float) -> np.ndarray:
     """Map iid standard normals to rho-equicorrelated ones along the last
-    axis (each row an independent group) with the closed-form root in O(n)."""
+    axis (each row an independent group) with the closed-form root in O(n),
+    in place; returns `z`."""
     size = z.shape[-1]
     if rho == 0.0 or size == 1:
         return z
     a = math.sqrt(max(1.0 - rho, 0.0))
     b = math.sqrt(max(1.0 + (size - 1) * rho, 0.0))
-    return a * z + (b - a) * z.mean(axis=-1, keepdims=True)
+    shift = (b - a) * z.mean(axis=-1, keepdims=True)
+    z *= a
+    z += shift
+    return z
 
 
 def _check_finite(name: str, x) -> None:
@@ -132,13 +138,9 @@ class IidUniform:
         """`rows` studies as a ``(rows, n)`` p-value matrix and the null mask."""
         return rng.random((rows, self.n)), np.arange(self.n) < self.n0
 
-    def draw_nulls(self, rng: np.random.Generator, rows: int) -> np.ndarray:
-        """Only the null p-values (their marginal joint law), ``(rows, n0)``."""
-        return rng.random((rows, self.n0))
-
     def nulls_only(self) -> "IidUniform":
         """The generator of the null components alone."""
-        return IidUniform(self.n0, 0)
+        return self if self.n1 == 0 else IidUniform(self.n0, 0)
 
 
 @dataclass(frozen=True)
@@ -176,16 +178,13 @@ class EquicorrelatedNormal:
     def draw(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
         # Per row: the null normals, then the non-null ones.
         z = rng.standard_normal((rows, self.n))
-        z[:, :self.n0] = _equicorrelate(z[:, :self.n0], self.rho)
+        _equicorrelate(z[:, :self.n0], self.rho)
         z[:, self.n0:] += self.mu_alt
         return _pvalues_from_z(z, self.sided), np.arange(self.n) < self.n0
 
-    def draw_nulls(self, rng: np.random.Generator, rows: int) -> np.ndarray:
-        return _pvalues_from_z(_equicorrelate(rng.standard_normal((rows, self.n0)), self.rho),
-                               self.sided)
-
     def nulls_only(self) -> "EquicorrelatedNormal":
-        return EquicorrelatedNormal(self.n0, 0, self.rho, self.sided, self.mu_alt)
+        return self if self.n1 == 0 else \
+            EquicorrelatedNormal(self.n0, 0, self.rho, self.sided, self.mu_alt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +196,8 @@ class PrdnGaussian:
 
     Size limit: construction factors `sigma` and its null block densely with
     ``eigh``, O(d^3) time for dimension d, and the instance keeps both
-    matrices and their square roots, about ``16 * (d**2 + n0**2)`` bytes
+    matrices and their square roots (the null block in its null spec,
+    built once), about ``16 * (d**2 + n0**2)`` bytes
     (1.6 GB at d = n0 = 10 000). Each drawn row costs a dense d-by-d product.
     Structured covariances at large d are :class:`BlockDependent` and
     :class:`EquicorrelatedNormal`, which keep no matrix.
@@ -208,7 +208,7 @@ class PrdnGaussian:
     mu: Optional[np.ndarray] = None
     sided: str = "one"
     _sqrt: np.ndarray = field(init=False, repr=False)
-    _null_sqrt: np.ndarray = field(init=False, repr=False)
+    _nulls: "PrdnGaussian" = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_sided(self.sided)
@@ -237,8 +237,8 @@ class PrdnGaussian:
         object.__setattr__(self, "null_idx", idx)
         object.__setattr__(self, "mu", _readonly(mu))
         object.__setattr__(self, "_sqrt", _readonly(_psd_sqrt(sigma)))
-        null_block = sigma[np.ix_(idx, idx)]
-        object.__setattr__(self, "_null_sqrt", _readonly(_psd_sqrt(null_block)))
+        object.__setattr__(self, "_nulls", self if len(idx) == dim else PrdnGaussian(
+            sigma[np.ix_(idx, idx)], tuple(range(len(idx))), None, self.sided))
 
     @property
     def n(self) -> int:
@@ -256,14 +256,8 @@ class PrdnGaussian:
         z = self.mu + _times_rows(self._sqrt, rng.standard_normal((rows, self.n)))
         return _pvalues_from_z(z, self.sided), np.isin(np.arange(self.n), self.null_idx)
 
-    def draw_nulls(self, rng: np.random.Generator, rows: int) -> np.ndarray:
-        return _pvalues_from_z(_times_rows(self._null_sqrt, rng.standard_normal((rows, self.n0))),
-                               self.sided)
-
     def nulls_only(self) -> "PrdnGaussian":
-        idx = list(self.null_idx)
-        return PrdnGaussian(self.sigma[np.ix_(idx, idx)], tuple(range(len(idx))), None,
-                            self.sided)
+        return self._nulls
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,7 +272,9 @@ class BlockDependent:
 
     A draw takes every block's randomness from one generator call, in block
     order, which reproduces a draw block by block: one uniform per block, or
-    one normal per member. A null draw skips the blocks without nulls.
+    one normal per member. The null spec keeps, of each block that holds a
+    null, one block of its nulls alone; members of a block are exchangeable,
+    so these have the joint law of the nulls of a full draw.
     """
 
     block_sizes: tuple[int, ...]
@@ -288,7 +284,6 @@ class BlockDependent:
     mu_alt: float = 2.0
     sided: str = "one"
     _groups: tuple = field(init=False, repr=False)
-    _held: Optional["BlockDependent"] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         sizes = tuple(self.block_sizes)
@@ -313,18 +308,12 @@ class BlockDependent:
         if mask.shape != (n,):
             raise ValueError("null mask must match the total block length")
         object.__setattr__(self, "null_mask", _readonly(mask))
-        # One (blocks, size) position matrix per block size above 1, and the
-        # spec of the blocks that hold a null (None if none does): its draw,
-        # restricted to its nulls, is this spec's null draw.
+        # One (blocks, size) position matrix per block size above 1.
         size_arr = np.array(sizes)
         starts = np.cumsum(size_arr) - size_arr
         object.__setattr__(self, "_groups", tuple(
             starts[size_arr == size][:, None] + np.arange(size)
             for size in np.unique(size_arr[size_arr > 1])))
-        held = np.logical_or.reduceat(mask, starts)
-        object.__setattr__(self, "_held", self if held.all() else None if not held.any() else
-                           BlockDependent(tuple(size_arr[held].tolist()), self.within, self.rho_w,
-                                          mask[np.repeat(held, size_arr)], self.mu_alt, self.sided))
 
     @property
     def n(self) -> int:
@@ -348,19 +337,14 @@ class BlockDependent:
             p = _pvalues_from_z(z + np.where(self.null_mask, 0.0, self.mu_alt), self.sided)
         return p, self.null_mask.copy()
 
-    def draw_nulls(self, rng: np.random.Generator, rows: int) -> np.ndarray:
-        """The nulls of a full draw of the blocks that hold one."""
-        if self._held is None:
-            raise ValueError("generator has no null components")
-        p, mask = self._held.draw(rng, rows)
-        return p[:, mask]
-
     def nulls_only(self) -> "BlockDependent":
-        if self._held is None:
+        if self.n0 == 0:
             raise ValueError("generator has no null components")
-        held = self._held
-        counts = np.add.reduceat(held.null_mask, np.cumsum(held.block_sizes) - held.block_sizes)
-        return BlockDependent(tuple(counts.tolist()), self.within, self.rho_w, None,
+        if self.n1 == 0:
+            return self
+        sizes = np.array(self.block_sizes)
+        counts = np.add.reduceat(self.null_mask, np.cumsum(sizes) - sizes)
+        return BlockDependent(tuple(counts[counts > 0].tolist()), self.within, self.rho_w, None,
                               self.mu_alt, self.sided)
 
 
@@ -385,9 +369,6 @@ class TwoSidedWrap:
     def draw(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
         p, mask = self.inner.draw(rng, rows)
         return two_sided_from_one_sided(p), mask
-
-    def draw_nulls(self, rng: np.random.Generator, rows: int) -> np.ndarray:
-        return two_sided_from_one_sided(self.inner.draw_nulls(rng, rows))
 
     def nulls_only(self) -> "TwoSidedWrap":
         return TwoSidedWrap(self.inner.nulls_only())
@@ -436,11 +417,6 @@ def sample_rows(spec: GeneratorSpec, rng: np.random.Generator,
     return spec.draw(rng, rows)
 
 
-def sample_null_rows(spec: GeneratorSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """Draw the null p-values of `rows` studies as a ``(rows, n0)`` matrix."""
-    return spec.draw_nulls(rng, rows)
-
-
 def sample_arrays(spec: GeneratorSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw one study as raw arrays ``(pvalues, null_mask)``."""
     p, mask = spec.draw(rng, 1)
@@ -448,8 +424,8 @@ def sample_arrays(spec: GeneratorSpec, rng: np.random.Generator) -> tuple[np.nda
 
 
 def sample_null_pvalues(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw only the null p-values of `spec` (their marginal joint law)."""
-    return spec.draw_nulls(rng, 1)[0]
+    """Draw only the null p-values of `spec`: one study of its null spec."""
+    return restrict_to_nulls(spec).draw(rng, 1)[0][0]
 
 
 def sample(spec: GeneratorSpec, seed: int) -> PValueStudy:

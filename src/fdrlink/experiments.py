@@ -254,7 +254,9 @@ def _spec_from_config(node, registry: Mapping[str, type], what: str):
     if mask is not None and not (isinstance(mask, list)
                                  and all(isinstance(v, bool) for v in mask)):
         raise ConfigError(f"null_mask must be a list of booleans, got {mask!r}")
-    if cls is PrdnGaussian and "sigma_file" in args:
+    if cls is PrdnGaussian:
+        if "sigma_file" not in args:
+            raise ConfigError(f"{what} type {kind!r} needs a sigma_file")
         args["sigma"] = load_matrix(args.pop("sigma_file"))
     if cls is TwoSidedWrap and "inner" in args:
         args["inner"] = _spec_from_config(args["inner"], registry, what)
@@ -268,6 +270,11 @@ _TOP_KEYS = {"schema", "preset", "name", "generator", "adversary", "procedure",
              "alpha_grid", "gamma_grid", "reps", "master_seed", "out_dir", "workers"}
 # The fields that describe a custom experiment; a preset fixes its own.
 _CUSTOM_KEYS = ("generator", "adversary", "procedure", "alpha_grid", "gamma_grid")
+
+
+def _check_preset_fields(given: Sequence[str]) -> None:
+    if given:
+        raise ConfigError(f"a preset config takes no {', '.join(given)}")
 
 
 @dataclass(frozen=True)
@@ -305,10 +312,8 @@ class ExperimentConfig:
             if self.preset is not None:
                 if not isinstance(self.preset, str):
                     raise ValueError(f"preset must be a string, got {self.preset!r}")
-                given = [f.name for f in fields(self)
-                         if f.name in _CUSTOM_KEYS and getattr(self, f.name) != f.default]
-                if given:
-                    raise ValueError(f"a preset config takes no {', '.join(given)}")
+                _check_preset_fields([f.name for f in fields(self) if f.name in _CUSTOM_KEYS
+                                      and getattr(self, f.name) != f.default])
                 return
             if self.generator is None:
                 raise ValueError("custom configs need a generator")
@@ -339,7 +344,8 @@ def load_config(source, *, env: Optional[Mapping[str, str]] = None,
     """Parse a config document (dict, JSON text, or file path).
 
     Unknown keys are rejected; a ``schema`` field equal to the integer 1 is
-    required. Each value is checked by the constructor that takes it.
+    required, and a preset document may hold none of the custom keys, even
+    at their defaults. Each value is checked by the constructor that takes it.
     ``FDRLINK_SEED`` in `env` (default: the process environment) overrides the
     configured master seed, and `overrides` (e.g. from CLI flags) override
     both.
@@ -366,6 +372,7 @@ def load_config(source, *, env: Optional[Mapping[str, str]] = None,
     schema = doc.pop("schema", None)
     if not (is_int(schema) and schema == SCHEMA_VERSION):
         raise ConfigError(f"config schema must be the integer {SCHEMA_VERSION}, got {schema!r}")
+    custom = [key for key in _CUSTOM_KEYS if key in doc]
 
     doc.setdefault("name", doc.get("preset") or "custom")
     if "generator" in doc:
@@ -381,7 +388,10 @@ def load_config(source, *, env: Optional[Mapping[str, str]] = None,
     for key, value in (overrides or {}).items():
         if value is not None:
             doc[key] = value
-    return ExperimentConfig(**doc)
+    cfg = ExperimentConfig(**doc)
+    if cfg.preset is not None:
+        _check_preset_fields(custom)
+    return cfg
 
 
 # ---------------------------------------------------------------------------

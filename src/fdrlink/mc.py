@@ -31,8 +31,9 @@ another does. Its partial sums go through the same rank/ceiling kernel as
 the adversaries, ``anchor_choice`` with ``n = 1``.
 
 Pipeline for FDR-type targets, row-wise over a chunk of replications: sample
-the nulls, apply the adversary (or keep the generated non-nulls when no
-adversary is given), run the procedure, record the false discovery
+the nulls (rows of the null spec ``restrict_to_nulls(gen)``, which the Simes
+curve pass draws too), apply the adversary (or keep the generated non-nulls
+when no adversary is given), run the procedure, record the false discovery
 proportion. An adversary-completed study is [zeros, sorted nulls, ones] in
 sorted order, so the step count runs on the sorted nulls with the planted
 zeros as a rank offset. Rank, zero count, step count and Simes value come
@@ -53,7 +54,7 @@ import numpy as np
 from .adversaries import (AdversarySpec, InformedAdversary, MostAntiConservativeAdversary,
                           anchor_choice)
 from .bounds import EmpiricalCurve, fdr_link_bound
-from .dependence import GeneratorSpec, restrict_to_nulls, sample_null_rows, sample_rows
+from .dependence import GeneratorSpec, restrict_to_nulls, sample_rows
 from .procedures import simes_sorted, step_count
 from .study import check_open_unit, is_int
 
@@ -172,6 +173,7 @@ class LinkingReport:
 
 # A task turns `count` consecutive rows of a block's generator into one value
 # each; `width` is about how many values a row draws, which sets the chunk.
+# A task that needs only the nulls draws rows of the null spec `nulls`.
 
 
 @dataclass(frozen=True)
@@ -180,6 +182,7 @@ class _FdpTask:
     adv: Optional[AdversarySpec]
     proc: str
     alpha: float
+    nulls: Optional[GeneratorSpec]  # restrict_to_nulls(gen) when adv is given
 
     @property
     def width(self) -> int:
@@ -192,9 +195,9 @@ class _FdpTask:
             r = step_count(np.sort(p, axis=1), n, alpha, self.proc)
             false = np.count_nonzero(p[:, mask] <= (alpha * r / n)[:, None], axis=1)
             return false / np.maximum(r, 1)
-        nulls_sorted = sample_null_rows(self.gen, rng, count)
+        nulls_sorted = sample_rows(self.nulls, rng, count)[0]
         nulls_sorted.sort(axis=1)
-        n1 = n - nulls_sorted.shape[1]
+        n1 = self.gen.n1
         if self.proc == "most_anti_conservative":
             rank, ceiling = anchor_choice(nulls_sorted, n, alpha, n1)
             return rank / np.maximum(np.maximum(ceiling, rank), 1)
@@ -212,7 +215,7 @@ class _SimesTask:
         return self.gen.n0
 
     def rows(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        nulls = sample_null_rows(self.gen, rng, count)
+        nulls = sample_rows(self.gen, rng, count)[0]
         nulls.sort(axis=1)
         return simes_sorted(nulls)
 
@@ -295,7 +298,8 @@ def fdp_values(gen: GeneratorSpec, adv: Optional[AdversarySpec], proc: str,
     every FDP-type estimate is a reduction of this vector."""
     alpha = check_open_unit("alpha", alpha)
     check_procedure(proc, adv)
-    return _replication_values(_FdpTask(gen, adv, proc, alpha), cfg)
+    nulls = None if adv is None else restrict_to_nulls(gen)
+    return _replication_values(_FdpTask(gen, adv, proc, alpha, nulls), cfg)
 
 
 def estimate_fdr(gen: GeneratorSpec, adv: Optional[AdversarySpec], proc: str,

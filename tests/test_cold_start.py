@@ -39,7 +39,7 @@ estimate_fdr(IidUniform(20, 80), InformedAdversary(), "step_up", 0.1, McConfig(3
 step("iid estimate")
 import numpy as np
 from fdrlink import EquicorrelatedNormal
-EquicorrelatedNormal(5, 0, 0.3).draw_nulls(np.random.default_rng(0), 2)
+EquicorrelatedNormal(5, 0, 0.3).draw(np.random.default_rng(0), 2)
 step("equicorrelated draw")
 print(json.dumps(loaded))
 """

@@ -239,15 +239,12 @@ class TestSampling:
         assert 0.3 < study.null_pvalues.mean() < 0.7
 
 
-def _block_loop_draw(spec: BlockDependent, rng, nulls_only: bool) -> np.ndarray:
-    """Reference block-dependent draw, one generator call per block: a full
-    draw, or (nulls_only) the nulls of the blocks that hold one."""
+def _block_loop_draw(spec: BlockDependent, rng) -> np.ndarray:
+    """Reference block-dependent draw, one generator call per block."""
     out, start = [], 0
     for size in spec.block_sizes:
         inside = spec.null_mask[start:start + size]
         start += size
-        if nulls_only and not inside.any():
-            continue
         if spec.within == "identical":
             p = np.full(size, rng.random())
         else:
@@ -258,7 +255,7 @@ def _block_loop_draw(spec: BlockDependent, rng, nulls_only: bool) -> np.ndarray:
                 z = a * z + (b - a) * z.mean()
             z = z + np.where(inside, 0.0, spec.mu_alt)
             p = normal_cdf(-z) if spec.sided == "one" else 2.0 * normal_cdf(-np.abs(z))
-        out.append(p[inside] if nulls_only else p)
+        out.append(p)
     return np.concatenate(out)
 
 
@@ -281,10 +278,11 @@ class TestVectorizedBlockDraw:
                  BlockDependent(sizes, within, rho_w, None, 1.3, sided)]
         for spec, seed in itertools.product(specs, range(20)):
             p, got_mask = sample_arrays(spec, np.random.default_rng(seed))
-            assert np.array_equal(p, _block_loop_draw(spec, np.random.default_rng(seed), False))
+            assert np.array_equal(p, _block_loop_draw(spec, np.random.default_rng(seed)))
             assert np.array_equal(got_mask, spec.null_mask)
             nulls = sample_null_pvalues(spec, np.random.default_rng(seed))
-            assert np.array_equal(nulls, _block_loop_draw(spec, np.random.default_rng(seed), True))
+            assert np.array_equal(nulls, _block_loop_draw(restrict_to_nulls(spec),
+                                                          np.random.default_rng(seed)))
 
     def test_no_nulls_rejected(self):
         spec = BlockDependent((2, 3), null_mask=[False] * 5)

@@ -375,8 +375,11 @@ class TestCli:
           "adversary": {"type": "bonferroni_masked"}}, "at least two nulls"),
         ({"generator": {"type": "block", "block_sizes": [2, 2], "null_mask": [False] * 4}},
          "no null components"),
+        ({"generator": {"type": "prdn_gaussian", "null_idx": [0]}},
+         "generator type 'prdn_gaussian' needs a sigma_file"),
     ], ids=["procedure-bogus", "mac-without-zeros", "null_mask-ints", "out_dir-int",
-            "name-with-dir", "zeros-above-n1", "masked-one-null", "block-no-nulls"])
+            "name-with-dir", "zeros-above-n1", "masked-one-null", "block-no-nulls",
+            "prdn-without-sigma_file"])
     def test_bad_custom_field_exit_code(self, tmp_path, capsys, changes, message):
         doc = {"schema": 1, "name": "tiny", "generator": {"type": "iid_uniform", "n0": 10},
                "adversary": {"type": "informed"}, "alpha_grid": [0.1], "reps": 10,
@@ -391,6 +394,8 @@ class TestCli:
     @pytest.mark.parametrize("key, value", [
         ("generator", {"type": "iid_uniform", "n0": 3}), ("adversary", {"type": "informed"}),
         ("procedure", "step_down"), ("alpha_grid", [0.3]), ("gamma_grid", [0.5]),
+        # Keys are rejected even at their defaults.
+        ("adversary", None), ("procedure", "step_up"), ("alpha_grid", []), ("gamma_grid", []),
     ])
     def test_preset_rejects_custom_keys(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"

@@ -37,6 +37,7 @@ from fdrlink import (
     fdp_values,
     fdx_bound,
     prdn_bound_pi0,
+    restrict_to_nulls,
     sample_null_pvalues,
     verify_linking,
 )
@@ -233,10 +234,25 @@ def test_row_draws_are_successive_one_row_draws(spec):
     assert p.shape == (rows, spec.n)
     assert np.array_equal(p, np.vstack([row for row, _ in singles]))
     assert all(np.array_equal(mask, m) for _, m in singles)
-    nulls = spec.draw_nulls(np.random.default_rng(4), rows)
+    null_spec = restrict_to_nulls(spec)
+    nulls, _ = null_spec.draw(np.random.default_rng(4), rows)
     rng = np.random.default_rng(4)
     assert nulls.shape == (rows, spec.n0)
-    assert np.array_equal(nulls, np.vstack([spec.draw_nulls(rng, 1) for _ in range(rows)]))
+    assert np.array_equal(nulls, np.vstack([null_spec.draw(rng, 1)[0] for _ in range(rows)]))
+
+
+@pytest.mark.parametrize("spec", [
+    *_DRAW_SPECS.values(),
+    BlockDependent((3,) * 13 + (1,), "equicorrelated", 0.5, np.arange(40) < 10, sided="two"),
+], ids=[*_DRAW_SPECS, "block-equi-mixed-two"])
+def test_fdp_pass_and_simes_pass_read_the_same_nulls(spec):
+    # With no planted zeros and every non-null at 1, step-up BH rejects only
+    # nulls, and it rejects exactly when the nulls' Simes value is at most
+    # alpha * n0 / n: one FDP of 1 per curve knot at or below that level.
+    alpha, cfg = 0.3, McConfig(600, 11)
+    fdp = fdp_values(spec, FixedZerosAdversary(0), "step_up", alpha, cfg)
+    curve = estimate_fdr0_curve(restrict_to_nulls(spec), cfg)
+    assert fdp.sum() == np.count_nonzero(curve.knots <= alpha * spec.n0 / spec.n)
 
 
 def _single_draw_reference(spec, rng) -> np.ndarray:
@@ -316,12 +332,16 @@ class TestFastPathConsistency:
 
 @dataclass(frozen=True)
 class _FixedNulls(IidUniform):
-    """Generator stub whose every null draw returns the same p-values."""
+    """Generator stub whose every draw returns the same nulls, and ones for
+    the non-nulls."""
 
     nulls: tuple = ()
 
-    def draw_nulls(self, rng, rows) -> np.ndarray:
-        return np.tile(self.nulls, (rows, 1))
+    def draw(self, rng, rows) -> tuple[np.ndarray, np.ndarray]:
+        return np.tile(self.nulls + (1.0,) * self.n1, (rows, 1)), np.arange(self.n) < self.n0
+
+    def nulls_only(self) -> "_FixedNulls":
+        return _FixedNulls(self.n0, 0, self.nulls)
 
 
 @pytest.mark.filterwarnings("error")
