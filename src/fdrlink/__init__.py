@@ -64,6 +64,7 @@ from .dependence import (
     prdn_check_gaussian,
     prds_check_gaussian,
     mtp2_sign_check,
+    structural_checks,
     conditional_slope,
     vanishing_null_family,
     normal_cdf,

@@ -37,7 +37,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .procedures import threshold_ceil
-from .study import PValueStudy, RejectionOutcome, is_int
+from .study import PValueStudy, RejectionOutcome, check_pvalues, is_int
 
 __all__ = [
     "InformedAdversary",
@@ -201,24 +201,15 @@ class CompletedStudy:
     masked_zero_count: Optional[int] = None
 
 
-def _checked_nulls(null_pvalues) -> np.ndarray:
-    arr = np.asarray(null_pvalues, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("expected a non-empty vector of null p-values")
-    if not np.all((arr > 0.0) & (arr <= 1.0)):  # NaN fails too
-        raise ValueError("adversary constructions require null p-values in (0, 1]")
-    return arr
-
-
 def _checked_split(null_pvalues, n1: int, n: int) -> tuple[np.ndarray, int, int]:
-    arr = _checked_nulls(null_pvalues)
+    arr = check_pvalues(null_pvalues, "null p-values", positive=True)
     if arr.size + int(n1) != int(n):
         raise ValueError(f"n0 + n1 must equal n, got {arr.size} + {n1} != {n}")
     return arr, int(n1), int(n)
 
 
 def _one_row(null_pvalues) -> np.ndarray:
-    return np.sort(_checked_nulls(null_pvalues))[None]
+    return check_pvalues(null_pvalues, "null p-values", positive=True, sort=True)[None]
 
 
 def _plant_one(adversary: AdversarySpec, arr: np.ndarray, n1: int, n: int,
@@ -283,7 +274,7 @@ def masked_zero_count(upper_sorted_nulls, n: int, n1: int, alpha: float,
     The result is clamped to [0, n1].
     """
     adversary = BonferroniMaskedAdversary(strategy)
-    arr = _checked_nulls(upper_sorted_nulls)
+    arr = check_pvalues(upper_sorted_nulls, "null p-values", positive=True)
     if np.any(np.diff(arr) < 0.0):
         raise ValueError("upper null p-values must be sorted ascending")
     return int(adversary.zeros_from_upper(arr[None], int(n1), int(n), alpha)[0])

@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .study import check_open_unit, is_int, is_real
+from .study import check_open_unit, check_pvalues, is_int, is_real
 
 __all__ = [
     "LinearCurve",
@@ -99,14 +99,7 @@ class EmpiricalCurve:
     knots: np.ndarray
 
     def __init__(self, knots) -> None:
-        arr = np.array(knots, dtype=float, copy=True)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("expected a non-empty vector of knots")
-        if np.any((arr < 0.0) | (arr > 1.0)) or np.any(~np.isfinite(arr)):
-            raise ValueError("knots must lie in [0, 1]")
-        arr.sort()
-        arr.setflags(write=False)
-        object.__setattr__(self, "knots", arr)
+        object.__setattr__(self, "knots", check_pvalues(knots, "knots", sort=True))
 
     def value(self, x: float) -> float:
         return float(np.searchsorted(self.knots, x, side="right")) / self.knots.size

@@ -19,9 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .dependence import mtp2_sign_check, prdn_check_gaussian, prds_check_gaussian
+from .dependence import check_index_set, structural_checks
 from .experiments import (
     ConfigError,
     OutputError,
@@ -110,33 +108,21 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_check(args) -> int:
     sigma = load_matrix(args.matrix)
-    dim = sigma.shape[0]
-    if args.nulls is None:
-        null_idx = list(range(dim))
-    else:
+    null_idx = range(len(sigma))
+    if args.nulls is not None:
         try:
-            null_idx = [int(tok) for tok in args.nulls.split(",") if tok.strip()]
+            null_idx = check_index_set([int(tok) for tok in args.nulls.split(",") if tok.strip()],
+                                       len(sigma), "indices")
         except ValueError as exc:
-            raise ConfigError(f"--nulls must be comma-separated integers: {exc}") from exc
-        if not null_idx or len(set(null_idx)) != len(null_idx) or \
-                not all(0 <= i < dim for i in null_idx):
-            raise ConfigError(f"--nulls must list distinct indices in 0..{dim - 1}, "
-                              f"got {args.nulls!r}")
-    prdn = prdn_check_gaussian(sigma, null_idx)
-    prds = prds_check_gaussian(sigma, null_idx)
-    block = sigma[np.ix_(null_idx, null_idx)]
+            raise ConfigError(f"--nulls {args.nulls!r}: {exc}") from exc
     try:
-        signs = mtp2_sign_check(block)
+        prdn, prds, signs = structural_checks(sigma, null_idx)
     except ValueError as exc:  # a singular null block has no inverse to sign
         raise ConfigError(f"null block of {args.matrix}: {exc}") from exc
-    print(f"matrix: {args.matrix} (n={dim}, n0={len(null_idx)})")
+    print(f"matrix: {args.matrix} (n={len(sigma)}, n0={len(null_idx)})")
     print(f"prdn_one_sided: {prdn}")
     print(f"prds_one_sided: {prds}")
-    if signs is None:
-        print("mtp2_two_sided: infeasible")
-    else:
-        print("mtp2_two_sided: feasible "
-              + "".join("+" if s > 0 else "-" for s in signs))
+    print("mtp2_two_sided: infeasible" if signs is None else f"mtp2_two_sided: feasible {signs}")
     return EXIT_OK
 
 

@@ -14,6 +14,12 @@ root of the equicorrelation matrix (eigenvalues ``1 - rho`` and
 ``1 + (n-1) * rho``), applied in O(n) per draw; a generic factorization is
 used only for arbitrary covariance matrices.
 
+Each array input has one rule here: every covariance matrix passes
+:func:`check_covariance` (square, finite, symmetric) and every index set
+:func:`check_index_set` (non-empty, distinct plain integers, in range).
+:func:`structural_checks` is the one report of the positive-dependence
+checks on a covariance: PRDN, PRDS and the two-sided sign assignment.
+
 The normal CDF and quantile wrappers carry a contract of max absolute error
 at most 1e-12; they delegate to scipy's ``ndtr``/``ndtri``, which are
 accurate to machine precision. scipy is imported on the first Gaussian draw
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,6 +52,7 @@ __all__ = [
     "equicorrelated_sqrt",
     "two_sided_from_one_sided",
     "block_adjusted_pvalues",
+    "structural_checks",
     "prdn_check_gaussian",
     "prds_check_gaussian",
     "mtp2_sign_check",
@@ -76,9 +83,27 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def is_symmetric(sigma: np.ndarray) -> bool:
-    """Symmetry up to rounding, as :class:`PrdnGaussian` requires of `sigma`."""
-    return bool(np.allclose(sigma, sigma.T, atol=1e-12))
+def check_covariance(sigma, name: str = "sigma") -> np.ndarray:
+    """`sigma` as a float matrix, once it is square, finite and symmetric up
+    to rounding: the one rule for every covariance matrix taken here."""
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {sigma.shape}")
+    if not np.isfinite(sigma).all():
+        raise ValueError(f"{name} has non-finite entries")
+    if not np.allclose(sigma, sigma.T, atol=1e-12):
+        raise ValueError(f"{name} must be symmetric")
+    return sigma
+
+
+def check_index_set(idx, dim: int, name: str = "null_idx") -> tuple[int, ...]:
+    """`idx` as a tuple in its given order, once it is a non-empty set of
+    distinct plain integers in ``0..dim-1``: the one rule for index sets."""
+    idx = tuple(idx)
+    if not (idx and all(is_int(i) and 0 <= i < dim for i in idx) and len(set(idx)) == len(idx)):
+        raise ValueError(f"{name} must be a non-empty set of distinct integers in "
+                         f"0..{dim - 1}, got {idx!r}")
+    return idx
 
 
 def _check_sided(sided: str) -> None:
@@ -212,20 +237,11 @@ class PrdnGaussian:
 
     def __post_init__(self) -> None:
         _check_sided(self.sided)
-        sigma = np.asarray(self.sigma, dtype=float)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise ValueError("sigma must be a square matrix")
-        if not is_symmetric(sigma):
-            raise ValueError("sigma must be symmetric")
+        sigma = check_covariance(self.sigma)
         if not np.allclose(np.diag(sigma), 1.0, atol=1e-10):
             raise ValueError("sigma must have unit diagonal")
         dim = sigma.shape[0]
-        idx = tuple(self.null_idx)
-        if not idx or not all(is_int(i) for i in idx) or len(set(idx)) != len(idx):
-            raise ValueError("null_idx must be a non-empty set of distinct integer indices")
-        idx = tuple(sorted(idx))
-        if idx[0] < 0 or idx[-1] >= dim:
-            raise ValueError("null_idx out of range")
+        idx = tuple(sorted(check_index_set(self.null_idx, dim)))
         mu = np.zeros(dim) if self.mu is None else np.asarray(self.mu, dtype=float)
         if mu.shape != (dim,):
             raise ValueError("mu must match sigma's dimension")
@@ -274,7 +290,8 @@ class BlockDependent:
     order, which reproduces a draw block by block: one uniform per block, or
     one normal per member. The null spec keeps, of each block that holds a
     null, one block of its nulls alone; members of a block are exchangeable,
-    so these have the joint law of the nulls of a full draw.
+    so these have the joint law of the nulls of a full draw. It is built
+    once, at construction.
     """
 
     block_sizes: tuple[int, ...]
@@ -284,6 +301,7 @@ class BlockDependent:
     mu_alt: float = 2.0
     sided: str = "one"
     _groups: tuple = field(init=False, repr=False)
+    _nulls: Optional["BlockDependent"] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         sizes = tuple(self.block_sizes)
@@ -314,6 +332,10 @@ class BlockDependent:
         object.__setattr__(self, "_groups", tuple(
             starts[size_arr == size][:, None] + np.arange(size)
             for size in np.unique(size_arr[size_arr > 1])))
+        counts = np.add.reduceat(mask, starts)
+        object.__setattr__(self, "_nulls", None if not mask.any() else self if mask.all() else
+                           BlockDependent(tuple(counts[counts > 0].tolist()), self.within,
+                                          self.rho_w, None, self.mu_alt, self.sided))
 
     @property
     def n(self) -> int:
@@ -338,14 +360,9 @@ class BlockDependent:
         return p, self.null_mask.copy()
 
     def nulls_only(self) -> "BlockDependent":
-        if self.n0 == 0:
+        if self._nulls is None:
             raise ValueError("generator has no null components")
-        if self.n1 == 0:
-            return self
-        sizes = np.array(self.block_sizes)
-        counts = np.add.reduceat(self.null_mask, np.cumsum(sizes) - sizes)
-        return BlockDependent(tuple(counts[counts > 0].tolist()), self.within, self.rho_w, None,
-                              self.mu_alt, self.sided)
+        return self._nulls
 
 
 @dataclass(frozen=True)
@@ -453,66 +470,57 @@ def two_sided_from_one_sided(p):
 
 def block_adjusted_pvalues(study: PValueStudy, blocks: Sequence[Sequence[int]]) -> np.ndarray:
     """One adjusted p-value per block: ``min(b_l * min_i p_i, 1)``."""
-    seen = sorted(int(i) for block in blocks for i in block)
-    if seen != list(range(study.n)):
+    flat = check_index_set([i for block in blocks for i in block], study.n, "blocks")
+    if len(flat) != study.n or not all(len(block) for block in blocks):
         raise ValueError("blocks must partition the study indices")
-    out = np.empty(len(blocks))
-    for pos, block in enumerate(blocks):
-        idx = [int(i) for i in block]
-        out[pos] = min(len(idx) * study.pvalues[idx].min(), 1.0)
-    return out
-
-
-def _as_index_set(null_idx, dim: int) -> np.ndarray:
-    idx = np.asarray(sorted(set(int(i) for i in null_idx)), dtype=int)
-    if idx.size == 0:
-        raise ValueError("null index set must be non-empty")
-    if idx[0] < 0 or idx[-1] >= dim:
-        raise ValueError("null indices out of range")
-    return idx
+    return np.array([min(len(block) * study.pvalues[list(block)].min(), 1.0)
+                     for block in blocks])
 
 
 def prdn_check_gaussian(sigma: np.ndarray, null_idx) -> bool:
     """Sufficient condition for positive regression dependence within the
     nulls of one-sided Gaussian p-values: nonnegative covariance between
     every pair of null coordinates."""
-    sigma = np.asarray(sigma, dtype=float)
-    idx = _as_index_set(null_idx, sigma.shape[0])
+    sigma = check_covariance(sigma)
+    idx = check_index_set(null_idx, len(sigma))
     return bool(np.all(sigma[np.ix_(idx, idx)] >= 0.0))
 
 
 def prds_check_gaussian(sigma: np.ndarray, null_idx) -> bool:
-    """The stronger condition: nonnegativity within the nulls plus
-    nonnegativity between every null and every non-null coordinate."""
-    sigma = np.asarray(sigma, dtype=float)
-    idx = _as_index_set(null_idx, sigma.shape[0])
-    if not prdn_check_gaussian(sigma, idx):
-        return False
-    other = np.setdiff1d(np.arange(sigma.shape[0]), idx)
-    if other.size == 0:
-        return True
-    return bool(np.all(sigma[np.ix_(idx, other)] >= 0.0))
+    """The stronger condition: nonnegative covariance between every null
+    coordinate and every coordinate, null or not."""
+    sigma = check_covariance(sigma)
+    return bool(np.all(sigma[list(check_index_set(null_idx, len(sigma)))] >= 0.0))
 
 
-def mtp2_sign_check(sigma0: np.ndarray, rel_tol: float = 1e-10) -> Optional[np.ndarray]:
+def structural_checks(sigma: np.ndarray, null_idx) -> tuple[bool, bool, Optional[str]]:
+    """The structural report on a covariance and its nulls: the PRDN check,
+    the PRDS check, and the two-sided sign assignment of the null block (in
+    the order of `null_idx`) as a ``+``/``-`` string, None if none exists."""
+    sigma = check_covariance(sigma)
+    idx = check_index_set(null_idx, len(sigma))
+    signs = mtp2_sign_check(sigma[np.ix_(idx, idx)])
+    return (prdn_check_gaussian(sigma, idx), prds_check_gaussian(sigma, idx),
+            None if signs is None else "".join("+" if s > 0 else "-" for s in signs))
+
+
+def mtp2_sign_check(sigma0: np.ndarray) -> Optional[np.ndarray]:
     """Search for a diagonal +/-1 matrix B making ``-B @ inv(sigma0) @ B``
     nonnegative off the diagonal; None when no such B exists.
 
     With ``K = -inv(sigma0)``, every off-diagonal entry with ``|K_ij|`` above
-    ``rel_tol * max|K|`` constrains ``b_i * b_j`` to ``sign(K_ij)``; smaller
+    ``1e-10 * max|K|`` constrains ``b_i * b_j`` to ``sign(K_ij)``; smaller
     entries are treated as unconstrained (inverse-computation noise must not
     create spurious constraints). The constraints are solved by breadth-first
     sign propagation over the nonzero pattern, then verified.
     """
-    sigma0 = np.asarray(sigma0, dtype=float)
-    if sigma0.ndim != 2 or sigma0.shape[0] != sigma0.shape[1]:
-        raise ValueError("sigma0 must be square")
+    sigma0 = check_covariance(sigma0, "sigma0")
     try:
         k_mat = -np.linalg.inv(sigma0)
     except np.linalg.LinAlgError as exc:
         raise ValueError("sigma0 is singular") from exc
     dim = k_mat.shape[0]
-    tol = rel_tol * np.abs(k_mat).max()
+    tol = 1e-10 * np.abs(k_mat).max()
     signs = np.zeros(dim, dtype=int)
     for root in range(dim):
         if signs[root]:
@@ -541,34 +549,18 @@ def mtp2_sign_check(sigma0: np.ndarray, rel_tol: float = 1e-10) -> Optional[np.n
 def conditional_slope(sigma0: np.ndarray, i: int) -> np.ndarray:
     """Slope of the conditional mean of the remaining null z-scores given
     coordinate `i`: ``sigma0[i, -i] / sigma0[i, i]``."""
-    sigma0 = np.asarray(sigma0, dtype=float)
-    dim = sigma0.shape[0]
-    i = int(i)
-    if not 0 <= i < dim:
-        raise ValueError("index out of range")
+    sigma0 = check_covariance(sigma0, "sigma0")
+    (i,) = check_index_set((i,), len(sigma0), "index i")
     if sigma0[i, i] == 0.0:
         raise ValueError("conditioning coordinate has zero variance")
     row = np.delete(sigma0[i], i)
     return row / sigma0[i, i]
 
 
-def vanishing_null_family(l: int, schedule: Optional[Callable[[int], tuple[int, int]]] = None
-                          ) -> tuple[int, int]:
-    """Integer pair ``(n, n0)`` with ``n0 * log(n0) / n`` bounded across `l`.
-
-    The default schedule is ``n0 = l``, ``n = ceil(l * log(max(l, 2)))``,
-    floored at ``n0``; pass `schedule` to override. The index and the
-    schedule's outputs must be plain integers.
-    """
+def vanishing_null_family(l: int) -> tuple[int, int]:
+    """Integer pair ``(n, n0)`` with ``n0 * log(n0) / n`` bounded across `l`:
+    ``n0 = l`` and ``n = ceil(l * log(max(l, 2)))``, floored at ``n0``. The
+    index must be a plain integer."""
     if not (is_int(l) and l >= 1):
         raise ValueError(f"family index must be an integer >= 1, got {l!r}")
-    if schedule is not None:
-        n, n0 = schedule(l)
-        if not (is_int(n) and is_int(n0)):
-            raise ValueError(f"schedule must return integers, got (n={n!r}, n0={n0!r})")
-    else:
-        n0 = l
-        n = max(math.ceil(l * math.log(max(l, 2))), n0)
-    if not 1 <= n0 <= n:
-        raise ValueError(f"schedule produced invalid pair (n={n}, n0={n0})")
-    return n, n0
+    return max(math.ceil(l * math.log(max(l, 2))), l), l

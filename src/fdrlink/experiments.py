@@ -58,14 +58,12 @@ from .dependence import (
     IidUniform,
     PrdnGaussian,
     TwoSidedWrap,
-    is_symmetric,
-    mtp2_sign_check,
-    prdn_check_gaussian,
-    prds_check_gaussian,
+    check_covariance,
+    structural_checks,
     vanishing_null_family,
 )
-from .mc import (McConfig, check_procedure, estimate_fdr, estimate_fdx, estimate_worst_fdr_limit,
-                 verify_linking)
+from .mc import (McConfig, McEstimate, check_procedure, estimate_fdr, estimate_fdx,
+                 estimate_worst_fdr_limit, verify_linking)
 from .study import check_open_unit, is_int
 
 __all__ = [
@@ -190,8 +188,8 @@ def render_svg_line_chart(path, title: str, xs: Sequence[float],
 
 
 def load_matrix(path) -> np.ndarray:
-    """Dense covariance from a text file: one row per line, whitespace-separated.
-    The matrix must be square, finite and symmetric."""
+    """Dense covariance from a text file: one row per line, whitespace-separated,
+    checked by :func:`fdrlink.dependence.check_covariance`."""
     try:
         lines = Path(path).read_text().splitlines()
     except (OSError, TypeError, UnicodeDecodeError) as exc:
@@ -200,14 +198,12 @@ def load_matrix(path) -> np.ndarray:
         rows = [[float(tok) for tok in line.split()] for line in lines if line.strip()]
     except ValueError as exc:
         raise ConfigError(f"{path} has a non-numeric entry: {exc}") from exc
-    if not rows or any(len(r) != len(rows) for r in rows):
-        raise ConfigError(f"{path} does not contain a square whitespace-separated matrix")
-    mat = np.asarray(rows, dtype=float)
-    if not np.isfinite(mat).all():
-        raise ConfigError(f"{path} has non-finite entries")
-    if not is_symmetric(mat):
-        raise ConfigError(f"{path} does not contain a symmetric matrix")
-    return mat
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ConfigError(f"{path} has rows of different lengths")
+    try:
+        return check_covariance(rows, str(path))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +414,8 @@ def bounds_table(n: int, n0: int, pi0: float, alphas: Sequence[float],
 
 
 def consistency_curve(members: Mapping[str, GeneratorSpec], alpha_grid: Sequence[float],
-                      cfg: McConfig, adversary: Optional[AdversarySpec] = None,
-                      procedure: str = "step_up") -> list[dict]:
-    """Max-over-members estimated FDR per level.
+                      cfg: McConfig, adversary: Optional[AdversarySpec] = None) -> list[dict]:
+    """Max-over-members estimated step-up FDR per level.
 
     Returns one row per level: the supremum estimate, its standard error, and
     the member attaining it. Levels are reported in the given order.
@@ -431,7 +426,7 @@ def consistency_curve(members: Mapping[str, GeneratorSpec], alpha_grid: Sequence
     for alpha in alpha_grid:
         best = None
         for label, gen in members.items():
-            est = estimate_fdr(gen, adversary, procedure, alpha, cfg)
+            est = estimate_fdr(gen, adversary, "step_up", alpha, cfg)
             if best is None or est.mean > best[1].mean:
                 best = (label, est)
         label, est = best
@@ -440,12 +435,12 @@ def consistency_curve(members: Mapping[str, GeneratorSpec], alpha_grid: Sequence
     return rows
 
 
-def curve_is_decreasing(rows: Sequence[Mapping], slack_multiplier: float = 3.0) -> bool:
+def curve_is_decreasing(rows: Sequence[Mapping]) -> bool:
     """Whether the supremum curve is non-increasing toward smaller levels,
-    within Monte Carlo slack."""
+    within 3 standard errors of each step's difference."""
     ordered = sorted(rows, key=lambda r: -r["alpha"])
     for prev, cur in zip(ordered[:-1], ordered[1:]):
-        slack = slack_multiplier * math.hypot(prev["sup_stderr"], cur["sup_stderr"])
+        slack = 3.0 * math.hypot(prev["sup_stderr"], cur["sup_stderr"])
         if cur["sup_fdr"] > prev["sup_fdr"] + slack:
             return False
     return True
@@ -456,6 +451,12 @@ def curve_is_decreasing(rows: Sequence[Mapping], slack_multiplier: float = 3.0) 
 # ---------------------------------------------------------------------------
 
 
+def _passes(est: McEstimate, bound: float) -> bool:
+    """A preset's pass column: the estimate exceeds `bound` by at most 3
+    standard errors."""
+    return est.mean <= bound + 3.0 * est.stderr
+
+
 def _preset_e1(cfg: ExperimentConfig) -> dict[str, tuple]:
     gen = IidUniform(200, 2000)
     pi0 = gen.n0 / gen.n
@@ -463,8 +464,7 @@ def _preset_e1(cfg: ExperimentConfig) -> dict[str, tuple]:
     for alpha in (0.01, 0.05, 0.1, 0.2):
         est = estimate_fdr(gen, InformedAdversary(), "step_up", alpha, cfg.mc())
         bound = prdn_bound_pi0(pi0, alpha)
-        rows.append([alpha, est.mean, est.stderr, bound,
-                     est.mean <= bound + 3.0 * est.stderr])
+        rows.append([alpha, est.mean, est.stderr, bound, _passes(est, bound)])
     return {"E1_prdn_envelope.csv":
             (("alpha", "fdr_mean", "fdr_stderr", "prdn_bound", "pass"), rows)}
 
@@ -494,7 +494,7 @@ def _preset_e3(cfg: ExperimentConfig) -> dict[str, tuple]:
             est = estimate_fdr(gen, adv, "step_up", alpha, cfg.mc())
             envelope = 3.5 * alpha
             rows.append([strategy, alpha, est.mean, est.stderr, envelope,
-                         est.mean <= envelope + 3.0 * est.stderr])
+                         _passes(est, envelope)])
     return {"E3_bonferroni_masked.csv":
             (("strategy", "alpha", "fdr_mean", "fdr_stderr", "envelope", "pass"), rows)}
 
@@ -580,7 +580,7 @@ def _preset_e6(cfg: ExperimentConfig) -> dict[str, tuple]:
             report = verify_linking(gen, adv, alpha, cfg.mc())
             rows.append([gen_label, adv_label, alpha, report.lhs.mean,
                          report.lhs.stderr, report.rhs, report.slack,
-                         report.slack >= -3.0 * report.lhs.stderr])
+                         _passes(report.lhs, report.rhs)])
     header = ("generator", "adversary", "alpha", "fdr_mean", "fdr_stderr",
               "link_bound", "slack", "pass")
     return {"E6_linking.csv": (header, rows)}
@@ -599,7 +599,7 @@ def _preset_e7(cfg: ExperimentConfig) -> dict[str, tuple]:
             est = estimate_fdx(gen, InformedAdversary(), "step_up", alpha, gamma, cfg.mc())
             bound = fdx_bound(pi0, alpha, gamma)
             rows.append([label, alpha, gamma, est.mean, est.stderr, bound,
-                         est.mean <= bound + 3.0 * est.stderr])
+                         _passes(est, bound)])
     header = ("generator", "alpha", "gamma", "fdx_mean", "fdx_stderr", "fdx_bound", "pass")
     return {"E7_fdx.csv": (header, rows)}
 
@@ -628,13 +628,9 @@ def _structural_battery() -> dict[str, tuple[np.ndarray, list[int]]]:
 def _preset_e8(cfg: ExperimentConfig) -> dict[str, tuple]:
     rows = []
     for label, (sigma, null_idx) in _structural_battery().items():
-        prdn = prdn_check_gaussian(sigma, null_idx)
-        prds = prds_check_gaussian(sigma, null_idx)
-        block = sigma[np.ix_(null_idx, null_idx)]
-        signs = mtp2_sign_check(block)
+        prdn, prds, signs = structural_checks(sigma, null_idx)
         rows.append([label, sigma.shape[0], len(null_idx), prdn, prds,
-                     signs is not None,
-                     "" if signs is None else "".join("+" if s > 0 else "-" for s in signs)])
+                     signs is not None, signs or ""])
     header = ("matrix", "n", "n0", "prdn", "prds", "mtp2_feasible", "signs")
     return {"E8_structural.csv": (header, rows)}
 

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .study import PValueStudy, RejectionOutcome, check_open_unit
+from .study import PValueStudy, RejectionOutcome, check_open_unit, check_pvalues
 
 __all__ = [
     "bh_step_up",
@@ -38,15 +38,6 @@ __all__ = [
     "min_rejections_for",
     "threshold_ceil",
 ]
-
-
-def _check_nulls(null_pvalues) -> np.ndarray:
-    arr = np.asarray(null_pvalues, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("expected a non-empty vector of null p-values")
-    if np.any((arr < 0.0) | (arr > 1.0)) or np.any(~np.isfinite(arr)):
-        raise ValueError("null p-values must lie in [0, 1]")
-    return arr
 
 
 def threshold_ceil(p: np.ndarray, n: int, alpha: float) -> np.ndarray:
@@ -132,7 +123,7 @@ def simes_pvalue(null_pvalues: Sequence[float]) -> float:
     Never exceeds 1 for inputs in [0, 1] because the last term is ``p_(n0)``;
     the value is clamped anyway to guard against rounding.
     """
-    return float(simes_sorted(np.sort(_check_nulls(null_pvalues))[None])[0])
+    return float(simes_sorted(check_pvalues(null_pvalues, "null p-values", sort=True)[None])[0])
 
 
 def simes_rejects(null_pvalues: Sequence[float], x: float) -> bool:
@@ -151,7 +142,7 @@ def fdp_upper_bound(null_pvalues: Sequence[float], n: int, alpha: float) -> Frac
     from .adversaries import anchor_choice  # adversaries builds on this module
 
     alpha = check_open_unit("alpha", alpha)
-    arr = _check_nulls(null_pvalues)
+    arr = check_pvalues(null_pvalues, "null p-values")
     n = int(n)
     if n < arr.size:
         raise ValueError("n must be at least the number of null p-values")

@@ -1,7 +1,9 @@
 """Core value types: a p-value study and the outcome of a rejection procedure.
 
 Both types are immutable after construction (frozen dataclasses over
-read-only numpy arrays) and therefore safe to share across threads.
+read-only numpy arrays) and therefore safe to share across threads. The
+one p-value vector rule, :func:`check_pvalues`, serves studies, the empirical
+null-FDR curve, and the procedures' and adversaries' null inputs.
 """
 
 from __future__ import annotations
@@ -33,18 +35,16 @@ def check_open_unit(name: str, x) -> float:
     return float(x)
 
 
-def _readonly_float_vector(values) -> np.ndarray:
-    arr = np.array(values, dtype=float, copy=True)
-    if arr.ndim != 1:
-        raise ValueError("expected a one-dimensional vector")
-    arr.setflags(write=False)
-    return arr
-
-
-def _readonly_bool_vector(values) -> np.ndarray:
-    arr = np.array(values, dtype=bool, copy=True)
-    if arr.ndim != 1:
-        raise ValueError("expected a one-dimensional vector")
+def check_pvalues(values, what: str = "p-values", positive: bool = False,
+                  sort: bool = False) -> np.ndarray:
+    """A read-only copy of `values` (sorted ascending with `sort`), once they
+    form a non-empty 1-D vector in [0, 1], or in (0, 1] with `positive`."""
+    arr = np.asarray(values, dtype=float)
+    above = arr > 0.0 if positive else arr >= 0.0
+    if arr.ndim != 1 or arr.size == 0 or not np.all(above & (arr <= 1.0)):  # NaN fails too
+        raise ValueError(f"expected a non-empty vector of {what} in "
+                         f"{'(0, 1]' if positive else '[0, 1]'}")
+    arr = np.sort(arr) if sort else arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -57,19 +57,14 @@ class PValueStudy:
     null_mask: np.ndarray
 
     def __init__(self, pvalues, null_mask) -> None:
-        object.__setattr__(self, "pvalues", _readonly_float_vector(pvalues))
-        object.__setattr__(self, "null_mask", _readonly_bool_vector(null_mask))
-        if self.pvalues.size < 1:
-            raise ValueError("a study needs at least one p-value")
-        if self.null_mask.size != self.pvalues.size:
-            raise ValueError(
-                f"null mask length {self.null_mask.size} does not match "
-                f"{self.pvalues.size} p-values"
-            )
-        if np.any(~np.isfinite(self.pvalues)):
-            raise ValueError("p-values must be finite")
-        if np.any((self.pvalues < 0.0) | (self.pvalues > 1.0)):
-            raise ValueError("p-values must lie in [0, 1]")
+        pvalues = check_pvalues(pvalues)
+        mask = np.array(null_mask, dtype=bool)
+        if mask.shape != pvalues.shape:
+            raise ValueError(f"null mask of shape {mask.shape} does not match "
+                             f"{pvalues.size} p-values")
+        mask.setflags(write=False)
+        object.__setattr__(self, "pvalues", pvalues)
+        object.__setattr__(self, "null_mask", mask)
 
     @classmethod
     def global_null(cls, pvalues) -> "PValueStudy":

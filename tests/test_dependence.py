@@ -25,6 +25,7 @@ from fdrlink import (
     sample,
     sample_null_pvalues,
     simes_pvalue,
+    structural_checks,
     two_sided_from_one_sided,
     vanishing_null_family,
 )
@@ -307,6 +308,11 @@ class TestRestrictToNulls:
         wrapped = restrict_to_nulls(TwoSidedWrap(IidUniform(4, 2)))
         assert wrapped.inner == IidUniform(4, 0)
 
+    def test_block_null_spec_is_built_once(self):
+        for mask in (np.arange(12) < 5, None):
+            spec = BlockDependent((3,) * 4, "equicorrelated", 0.5, mask)
+            assert restrict_to_nulls(spec) is restrict_to_nulls(spec)
+
 
 class TestTwoSidedTransform:
     def test_branch_values(self):
@@ -366,6 +372,44 @@ class TestStructuralChecks:
         sigma = np.array([[1.0, -0.3, 0.2], [-0.3, 1.0, 0.1], [0.2, 0.1, 1.0]])
         assert not prdn_check_gaussian(sigma, [0, 1])
         assert not prds_check_gaussian(sigma, [0, 1])
+
+    def test_report_signs_follow_the_index_order(self):
+        sigma = np.array([[1.0, -0.4, 0.4], [-0.4, 1.0, -0.4], [0.4, -0.4, 1.0]])
+        assert structural_checks(sigma, [0, 1, 2]) == (False, False, "+-+")
+        assert structural_checks(sigma, [1, 0, 2]) == (False, False, "+--")
+        assert structural_checks(sigma, [0, 2]) == (True, False, "++")
+
+
+_SIGMA3 = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
+
+
+class TestInputRules:
+    """Malformed indices and matrices raise: nothing is truncated or deduplicated."""
+
+    @pytest.mark.parametrize("check", [prdn_check_gaussian, prds_check_gaussian])
+    @pytest.mark.parametrize("idx", [[0, 1.9], [0, 0, 1], [True, False]],
+                             ids=["float", "duplicate", "bool"])
+    def test_null_index_sets(self, check, idx):
+        with pytest.raises(ValueError, match="null_idx must be"):
+            check(_SIGMA3, idx)
+
+    @pytest.mark.parametrize("i", [1.7, True], ids=["float", "bool"])
+    def test_conditional_slope_index(self, i):
+        with pytest.raises(ValueError, match="index i must be"):
+            conditional_slope(_SIGMA3, i)
+
+    @pytest.mark.parametrize("blocks", [[[0, 1.0], [2]], [[0, True], [2]]],
+                             ids=["float", "bool"])
+    def test_block_indices(self, blocks):
+        with pytest.raises(ValueError, match="blocks must be"):
+            block_adjusted_pvalues(PValueStudy.global_null([0.1, 0.5, 0.9]), blocks)
+
+    @pytest.mark.parametrize("check", [prdn_check_gaussian, prds_check_gaussian,
+                                       lambda sigma, idx: conditional_slope(sigma, idx[0])],
+                             ids=["prdn", "prds", "conditional_slope"])
+    def test_non_square_sigma(self, check):
+        with pytest.raises(ValueError, match="square"):
+            check(np.ones((2, 3)), [0, 1])
 
 
 def exhaustive_mtp2(sigma0: np.ndarray, rel_tol: float = 1e-10) -> bool:
@@ -460,22 +504,10 @@ class TestVanishingNullFamily:
             if n0 >= 2:
                 assert n0 * math.log(n0) / n <= 1.0 + 1e-12
 
-    def test_custom_schedule(self):
-        n, n0 = vanishing_null_family(3, schedule=lambda l: (10 * l, l))
-        assert (n, n0) == (30, 3)
-        with pytest.raises(ValueError):
-            vanishing_null_family(3, schedule=lambda l: (l, 10 * l))
-
     def test_index_must_be_a_plain_integer(self):
         for l in (2.7, 2.0, True, np.int64(2), "2", 0):
             with pytest.raises(ValueError, match="family index"):
                 vanishing_null_family(l)
-
-    @pytest.mark.parametrize("pair", [(10.9, 3.5), (10, 3.0), (10.0, 3), (True, True),
-                                      (np.int64(10), 3)])
-    def test_schedule_must_return_plain_integers(self, pair):
-        with pytest.raises(ValueError, match="integers"):
-            vanishing_null_family(3, schedule=lambda l: pair)
 
 
 class TestSimesDistribution:
