@@ -39,11 +39,13 @@ anti = most_anti_conservative(nulls, n1, n, alpha)
 print(f"most anti-conservative outcome: FDP={anti.fdp} >= step-up: {anti.fdp >= out.fdp}")
 
 # A masked construction never sees the smallest null; withholding it caps the
-# damage (the masked FDR stays within a constant multiple of the level).
+# damage (the masked FDR stays within a constant multiple of the level). Every
+# construction's `plant` returns one number per study, the planted-zero count,
+# which `complete_study` reports as `planted_zeros`.
 for strategy in ("plug_in_second", "shifted_argmax"):
     masked = complete_study(nulls, n1, n, alpha, BonferroniMaskedAdversary(strategy))
     masked_out = bh_step_up(masked.study, alpha)
-    print(f"masked[{strategy}]: plants {masked.masked_zero_count} zeros, "
+    print(f"masked[{strategy}]: plants {masked.planted_zeros} zeros, "
           f"step-up FDP={masked_out.fdp}")
 
 # Changing the withheld smallest null never changes the masked zero count.
@@ -51,5 +53,4 @@ variant = nulls.copy()
 variant[0] = 1e-9
 masked_a = complete_study(nulls, n1, n, alpha, BonferroniMaskedAdversary())
 masked_b = complete_study(variant, n1, n, alpha, BonferroniMaskedAdversary())
-print(f"masking contract holds: "
-      f"{masked_a.masked_zero_count == masked_b.masked_zero_count}")
+print(f"masking contract holds: {masked_a.planted_zeros == masked_b.planted_zeros}")

@@ -24,8 +24,8 @@ arithmetic only on rows with float-tied candidates, ties to the largest rank.
 A one-pass float envelope ``(alpha / n) * j / p_(j)`` screens the columns, so
 ``c_j`` is worked out only where the row maximum can be. The worst-case
 limit constant in ``mc`` runs the same kernel on partial sums with ``n = 1``.
-Each adversary spec owns its row-wise planted-zero count (``plant``); the
-scalar functions here are one-row calls.
+Each adversary spec's ``plant`` returns its planted-zero count alone, one
+int64 per row; the scalar functions here are one-row calls.
 """
 
 from __future__ import annotations
@@ -117,25 +117,26 @@ def anchor_choice(nulls_sorted: np.ndarray, n: int, alpha: float,
 class InformedAdversary:
     """Sees all null p-values; plants zeros to reach the FDP ceiling."""
 
-    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> tuple[np.ndarray, dict]:
-        """Zero count per row of ascending nulls, and the CompletedStudy
-        fields it sets (one value per row)."""
+    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> np.ndarray:
+        """Zero count (int64) per row of a ``(rows, n0)`` matrix of ascending
+        nulls."""
         rank, ceiling = anchor_choice(nulls_sorted, n, alpha)
-        return np.clip(ceiling - rank, 0, n1), {"anchor_rank": rank}
+        return np.clip(ceiling - rank, 0, n1)
 
 
 @dataclass(frozen=True)
 class MostAntiConservativeAdversary:
     """Plants exactly the zeros the most anti-conservative outcome rejects."""
 
-    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> tuple[np.ndarray, dict]:
+    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> np.ndarray:
         rank, ceiling = anchor_choice(nulls_sorted, n, alpha, n1)
-        return np.maximum(ceiling - rank, 0), {"anchor_rank": rank}
+        return np.maximum(ceiling - rank, 0)
 
 
 @dataclass(frozen=True)
 class BonferroniMaskedAdversary:
-    """Sees all sorted null p-values except the smallest."""
+    """Sees all sorted null p-values except the smallest: ``plant`` never
+    reads column 0."""
 
     strategy: str = "shifted_argmax"
 
@@ -146,14 +147,10 @@ class BonferroniMaskedAdversary:
                 f"choose from {MASKED_STRATEGIES}"
             )
 
-    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> tuple[np.ndarray, dict]:
+    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> np.ndarray:
         if nulls_sorted.shape[1] < 2:
             raise ValueError("masked construction needs at least two nulls")
-        zeros = self.zeros_from_upper(nulls_sorted[:, 1:], n1, n, alpha)
-        return zeros, {"masked_zero_count": zeros}
-
-    def zeros_from_upper(self, upper: np.ndarray, n1: int, n: int, alpha: float) -> np.ndarray:
-        """Zero count per row of ascending nulls of ranks 2..n0."""
+        upper = nulls_sorted[:, 1:]
         if self.strategy == "plug_in_second":
             rank, ceiling = anchor_choice(np.concatenate([upper[:, :1], upper], axis=1), n, alpha)
         else:
@@ -171,10 +168,10 @@ class FixedZerosAdversary:
         if not (is_int(self.zeros) and self.zeros >= 0):
             raise ValueError(f"zeros must be an integer >= 0, got {self.zeros!r}")
 
-    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> tuple[np.ndarray, dict]:
+    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> np.ndarray:
         if self.zeros > n1:
             raise ValueError(f"cannot plant {self.zeros} zeros in {n1} non-null slots")
-        return np.full(nulls_sorted.shape[0], self.zeros, dtype=np.int64), {}
+        return np.full(nulls_sorted.shape[0], self.zeros, dtype=np.int64)
 
 
 AdversarySpec = Union[
@@ -187,18 +184,11 @@ AdversarySpec = Union[
 
 @dataclass(frozen=True)
 class CompletedStudy:
-    """A study assembled from given nulls plus constructed non-nulls.
-
-    ``anchor_rank`` is the sorted-null rank the construction aims at (when it
-    has one), ``masked_zero_count`` the zero count chosen by a masked
-    construction, and ``planted_zeros`` the number of zero-valued non-nulls
-    actually placed.
-    """
+    """A study assembled from given nulls plus constructed non-nulls, with
+    ``planted_zeros`` the number of zero-valued non-nulls placed."""
 
     study: PValueStudy
     planted_zeros: int
-    anchor_rank: Optional[int] = None
-    masked_zero_count: Optional[int] = None
 
 
 def _checked_split(null_pvalues, n1: int, n: int) -> tuple[np.ndarray, int, int]:
@@ -212,11 +202,9 @@ def _one_row(null_pvalues) -> np.ndarray:
     return check_pvalues(null_pvalues, "null p-values", positive=True, sort=True)[None]
 
 
-def _plant_one(adversary: AdversarySpec, arr: np.ndarray, n1: int, n: int,
-               alpha: float) -> tuple[int, dict]:
-    """One study's zero count and CompletedStudy fields, as Python ints."""
-    zeros, fields = adversary.plant(np.sort(arr)[None], n1, n, alpha)
-    return int(zeros[0]), {key: int(value[0]) for key, value in fields.items()}
+def _plant_one(adversary: AdversarySpec, arr: np.ndarray, n1: int, n: int, alpha: float) -> int:
+    """One study's zero count."""
+    return int(adversary.plant(np.sort(arr)[None], n1, n, alpha)[0])
 
 
 def max_fdp_rank(null_pvalues, n: int, alpha: float) -> int:
@@ -253,8 +241,8 @@ def most_anti_conservative(null_pvalues, n1: int, n: int, alpha: float) -> Rejec
     completion place at least the required zeros right after the nulls).
     """
     arr, n1, n = _checked_split(null_pvalues, n1, n)
-    zeros, fields = _plant_one(MostAntiConservativeAdversary(), arr, n1, n, alpha)
-    rank = fields["anchor_rank"]
+    zeros = _plant_one(MostAntiConservativeAdversary(), arr, n1, n, alpha)
+    rank = feasible_max_fdp_rank(arr, n1, n, alpha)
     rejected = [*np.argsort(arr, kind="stable")[:rank], *range(arr.size, arr.size + zeros)]
     return RejectionOutcome(rejected, n_false=rank)
 
@@ -277,13 +265,14 @@ def masked_zero_count(upper_sorted_nulls, n: int, n1: int, alpha: float,
     arr = check_pvalues(upper_sorted_nulls, "null p-values", positive=True)
     if np.any(np.diff(arr) < 0.0):
         raise ValueError("upper null p-values must be sorted ascending")
-    return int(adversary.zeros_from_upper(arr[None], int(n1), int(n), alpha)[0])
+    # The stand-in smallest null is never read.
+    return _plant_one(adversary, np.concatenate([arr[:1], arr]), int(n1), int(n), alpha)
 
 
 def complete_study(null_pvalues, n1: int, n: int, alpha: float,
                    adversary: AdversarySpec) -> CompletedStudy:
     """Apply an adversary description to the given nulls."""
     arr, n1, n = _checked_split(null_pvalues, n1, n)
-    zeros, fields = _plant_one(adversary, arr, n1, n, alpha)
+    zeros = _plant_one(adversary, arr, n1, n, alpha)
     pvalues = np.concatenate([arr, np.zeros(zeros), np.ones(n1 - zeros)])
-    return CompletedStudy(PValueStudy(pvalues, np.arange(n) < arr.size), zeros, **fields)
+    return CompletedStudy(PValueStudy(pvalues, np.arange(n) < arr.size), zeros)

@@ -201,7 +201,7 @@ class _FdpTask:
         if self.proc == "most_anti_conservative":
             rank, ceiling = anchor_choice(nulls_sorted, n, alpha, n1)
             return rank / np.maximum(np.maximum(ceiling, rank), 1)
-        zeros, _ = self.adv.plant(nulls_sorted, n1, n, alpha)
+        zeros = self.adv.plant(nulls_sorted, n1, n, alpha)
         r = step_count(nulls_sorted, n, alpha, self.proc, offset=zeros)
         return (r - zeros) / np.maximum(r, 1)
 

@@ -97,6 +97,13 @@ class PValueStudy:
         return self.pvalues[~self.null_mask]
 
 
+def _as_index(value, name: str) -> int:
+    """`value` as an int: a Python or numpy integer, not a bool or a float."""
+    if is_int(value) or isinstance(value, np.integer):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RejectionOutcome:
     """A rejection set with its counts and realized false discovery proportion.
@@ -112,9 +119,9 @@ class RejectionOutcome:
     fdp: Fraction
 
     def __init__(self, rejected: Iterable[int], n_false: int) -> None:
-        rejected_set = frozenset(int(i) for i in rejected)
+        rejected_set = frozenset(_as_index(i, "a rejected index") for i in rejected)
         n_rejected = len(rejected_set)
-        n_false = int(n_false)
+        n_false = _as_index(n_false, "false rejection count")
         if n_false < 0 or n_false > n_rejected:
             raise ValueError("false rejection count must lie in [0, |rejected|]")
         object.__setattr__(self, "rejected", rejected_set)
@@ -125,7 +132,7 @@ class RejectionOutcome:
     @classmethod
     def from_indices(cls, study: PValueStudy, indices: Iterable[int]) -> "RejectionOutcome":
         """Build an outcome for `study`, counting false rejections from its null mask."""
-        idx = sorted(int(i) for i in set(int(i) for i in indices))
+        idx = sorted({_as_index(i, "a rejected index") for i in indices})
         if idx and (idx[0] < 0 or idx[-1] >= study.n):
             raise ValueError("rejected indices out of range for the study")
         n_false = int(np.count_nonzero(study.null_mask[idx])) if idx else 0

@@ -37,6 +37,7 @@ from fdrlink import (
     informed_adversary,
     link_bound_raw,
     log_correction_bound,
+    max_fdp_rank,
     min_rejections_for,
     most_anti_conservative,
     mtp2_sign_check,
@@ -130,7 +131,7 @@ def test_c04_attainment_exact():
         hi = 1.0 if trial % 2 else min(4.0 * alpha, 1.0)
         nulls = rng.uniform(1e-12, hi, n0)
         completed = informed_adversary(nulls, n1, n, alpha)
-        star = completed.anchor_rank
+        star = max_fdp_rank(nulls, n, alpha)
         needed = min_rejections_for(float(np.sort(nulls)[star - 1]), n, alpha) - star
         if max(needed, 0) > n1:
             continue

@@ -142,7 +142,7 @@ class TestMaxFdpRank:
 class TestInformedAdversary:
     def test_known_zero_count(self):
         completed = informed_adversary([0.02, 0.5], 8, 10, 0.1)
-        assert completed.anchor_rank == 1
+        assert max_fdp_rank([0.02, 0.5], 10, 0.1) == 1
         assert completed.planted_zeros == 1
         assert completed.study.n1 == 8
         nonnull = completed.study.nonnull_pvalues
@@ -273,7 +273,7 @@ class TestAttainment:
             hi = 1.0 if trial % 2 else alpha
             nulls = rng.uniform(1e-9, hi, n0)
             completed = informed_adversary(nulls, n1, n, alpha)
-            star = completed.anchor_rank
+            star = max_fdp_rank(nulls, n, alpha)
             needed = min_rejections_for(float(np.sort(nulls)[star - 1]), n, alpha) - star
             if needed > n1:
                 continue
@@ -342,7 +342,8 @@ class TestMaskedConstruction:
             assert first == again
 
     def test_never_reads_the_smallest_null(self):
-        # Same uppers, different withheld smallest value: identical counts.
+        # Same uppers, different withheld smallest value: identical counts,
+        # equal to the count from the uppers alone (n0 = 2 leaves one upper).
         rng = np.random.default_rng(310)
         for strategy in ("plug_in_second", "shifted_argmax"):
             for _ in range(60):
@@ -357,8 +358,8 @@ class TestMaskedConstruction:
                     nulls = np.concatenate([[smallest], uppers])
                     completed = complete_study(
                         nulls, n1, n, alpha, BonferroniMaskedAdversary(strategy))
-                    counts.add(completed.masked_zero_count)
-                assert len(counts) == 1
+                    counts.add(completed.planted_zeros)
+                assert counts == {masked_zero_count(uppers, n, n1, alpha, strategy)}
 
     def test_needs_two_nulls(self):
         with pytest.raises(ValueError):
@@ -389,7 +390,7 @@ class TestCompleteStudy:
         direct = informed_adversary([0.02, 0.5], 8, 10, 0.1)
         via = complete_study([0.02, 0.5], 8, 10, 0.1, InformedAdversary())
         assert np.array_equal(direct.study.pvalues, via.study.pvalues)
-        assert via.anchor_rank == 1
+        assert via.planted_zeros == direct.planted_zeros == 1
 
     def test_most_anti_conservative_plants_exactly_needed(self):
         rng = np.random.default_rng(311)

@@ -36,6 +36,7 @@ from fdrlink import (
     fdp_upper_bound,
     fdp_values,
     fdx_bound,
+    masked_zero_count,
     prdn_bound_pi0,
     restrict_to_nulls,
     sample_null_pvalues,
@@ -54,6 +55,7 @@ from _util import (
     limit_bracket,
     limit_oracle,
     limit_ratios,
+    planted_zeros_oracle,
     step_fdp_oracle,
 )
 
@@ -122,6 +124,21 @@ class TestSeeding:
     def test_reps_one_degenerate_stderr(self):
         est = estimate_fdr(IidUniform(5, 0), None, "step_up", 0.2, McConfig(1, 3))
         assert est.stderr == 0.0 and est.stderr_degenerate
+
+    def test_stderr_sums_python_float_squares(self):
+        # A 0/1 vector (the shape of FDX values) on which numpy's d * d and
+        # Python's (v - mean) ** 2 round differently, so the square used
+        # shows in the stderr bits.
+        values = np.random.default_rng(5).permutation(np.repeat([1.0, 0.0], [834, 759]))
+        items = values.tolist()
+        mean = math.fsum(items) / len(items)
+
+        def stderr(squares):
+            return math.sqrt(math.fsum(squares) / (len(items) - 1) / len(items))
+
+        reference = stderr((v - mean) ** 2 for v in items)
+        assert stderr(((values - mean) * (values - mean)).tolist()) != reference
+        assert McEstimate.from_values(values, McConfig(len(items), 5)).stderr == reference
 
     def test_config_validation(self):
         for reps in (0, -1, 2.5, True, "3", None):
@@ -298,11 +315,22 @@ class TestFastPathConsistency:
         gen = EquicorrelatedNormal(8, 20, 0.3)
         alpha = 0.15
         values = fdp_values(gen, adv, proc, alpha, McConfig(120, 777))
+        rows = []
         for fast, rng in zip(values, _replication_rngs(777, 120)):
             nulls = np.sort(sample_null_pvalues(gen, rng))
+            rows.append(nulls)
             expected = completed_fdp_oracle(adv, nulls.tolist(), gen.n1, gen.n, alpha, proc)
             completed = complete_study(nulls, gen.n1, gen.n, alpha, adv)
             assert fast == float(expected) and reference(completed.study, alpha).fdp == expected
+        # `plant` on all rows at once: one int64 zero count per row.
+        zeros = adv.plant(np.array(rows), gen.n1, gen.n, alpha)
+        assert zeros.dtype == np.int64 and zeros.shape == (len(rows),)
+        assert 0 <= zeros.min() and zeros.max() <= gen.n1
+        assert zeros.tolist() == [planted_zeros_oracle(adv, row.tolist(), gen.n1, gen.n, alpha)
+                                  for row in rows]
+        if isinstance(adv, BonferroniMaskedAdversary):
+            assert zeros.tolist() == [masked_zero_count(row[1:], gen.n, gen.n1, alpha, adv.strategy)
+                                      for row in rows]
 
     def test_most_anti_proc_matches_reference(self):
         gen = IidUniform(10, 25)

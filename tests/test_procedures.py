@@ -65,6 +65,25 @@ class TestStudyTypes:
         with pytest.raises(ValueError):
             RejectionOutcome([0], n_false=2)
 
+    @pytest.mark.parametrize("build", [
+        lambda: RejectionOutcome.from_indices(
+            PValueStudy([0.01, 0.5, 0.9], [True, False, True]), [0.7, True]),
+        lambda: RejectionOutcome([1.5, 2.2], 1),
+        lambda: RejectionOutcome([1, 2], 1.9),
+        lambda: RejectionOutcome([1, 2], 1.0),
+    ], ids=["from-indices-float-bool", "float-indices", "float-n-false", "integral-float"])
+    def test_outcome_rejects_non_integer_indices(self, build):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build()
+
+    def test_outcome_takes_numpy_integers(self):
+        s = PValueStudy([0.01, 0.5, 0.9], [True, False, True])
+        out = RejectionOutcome.from_indices(s, np.nonzero(s.pvalues <= 0.5)[0])
+        assert out.rejected == {0, 1} and out.n_false == 1
+        assert all(type(i) is int for i in out.rejected)
+        assert RejectionOutcome(np.array([2], dtype=np.int32), np.int64(1)).n_false == 1
+        assert RejectionOutcome.from_indices(s, set()) == RejectionOutcome.empty()
+
 
 class TestStepUp:
     def test_no_rejections(self):
