@@ -23,8 +23,6 @@ from .bounds import (
     WorstCaseCurve,
     EmpiricalCurve,
     AlphaInterval,
-    BoundReport,
-    bound_report,
     link_bound_raw,
     fdr_link_bound,
     prdn_bound,

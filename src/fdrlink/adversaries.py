@@ -37,7 +37,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .procedures import threshold_ceil
-from .study import PValueStudy, RejectionOutcome, check_pvalues, is_int
+from .study import PValueStudy, RejectionOutcome, check_count, check_pvalues
 
 __all__ = [
     "InformedAdversary",
@@ -165,8 +165,7 @@ class FixedZerosAdversary:
     zeros: int = 0
 
     def __post_init__(self) -> None:
-        if not (is_int(self.zeros) and self.zeros >= 0):
-            raise ValueError(f"zeros must be an integer >= 0, got {self.zeros!r}")
+        check_count("zeros", self.zeros, 0)
 
     def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> np.ndarray:
         if self.zeros > n1:
@@ -191,15 +190,20 @@ class CompletedStudy:
     planted_zeros: int
 
 
-def _checked_split(null_pvalues, n1: int, n: int) -> tuple[np.ndarray, int, int]:
+def _checked_split(null_pvalues, n1: int, n: int) -> np.ndarray:
+    """The nulls, once ``n0 + n1 == n`` in plain integers."""
     arr = check_pvalues(null_pvalues, "null p-values", positive=True)
-    if arr.size + int(n1) != int(n):
+    check_count("n1", n1, 0)
+    if arr.size + n1 != check_count("n", n, 1):
         raise ValueError(f"n0 + n1 must equal n, got {arr.size} + {n1} != {n}")
-    return arr, int(n1), int(n)
+    return arr
 
 
-def _one_row(null_pvalues) -> np.ndarray:
-    return check_pvalues(null_pvalues, "null p-values", positive=True, sort=True)[None]
+def _one_row(null_pvalues, n: int) -> np.ndarray:
+    """The nulls as one ascending row, once `n` counts them all."""
+    row = check_pvalues(null_pvalues, "null p-values", positive=True, sort=True)
+    check_count("n", n, row.size)
+    return row[None]
 
 
 def _plant_one(adversary: AdversarySpec, arr: np.ndarray, n1: int, n: int, alpha: float) -> int:
@@ -212,7 +216,7 @@ def max_fdp_rank(null_pvalues, n: int, alpha: float) -> int:
 
     Returns a 1-based rank; ties resolve to the largest rank.
     """
-    return int(anchor_choice(_one_row(null_pvalues), int(n), alpha)[0][0])
+    return int(anchor_choice(_one_row(null_pvalues, n), n, alpha)[0][0])
 
 
 def feasible_max_fdp_rank(null_pvalues, n1: int, n: int, alpha: float) -> int:
@@ -221,7 +225,7 @@ def feasible_max_fdp_rank(null_pvalues, n1: int, n: int, alpha: float) -> int:
 
     Returns 0 when no rank is feasible.
     """
-    return int(anchor_choice(_one_row(null_pvalues), int(n), alpha, int(n1))[0][0])
+    return int(anchor_choice(_one_row(null_pvalues, n), n, alpha, check_count("n1", n1, 0))[0][0])
 
 
 def informed_adversary(null_pvalues, n1: int, n: int, alpha: float) -> CompletedStudy:
@@ -240,9 +244,9 @@ def most_anti_conservative(null_pvalues, n1: int, n: int, alpha: float) -> Rejec
     layout (both :func:`informed_adversary` and the most-anti-conservative
     completion place at least the required zeros right after the nulls).
     """
-    arr, n1, n = _checked_split(null_pvalues, n1, n)
-    zeros = _plant_one(MostAntiConservativeAdversary(), arr, n1, n, alpha)
-    rank = feasible_max_fdp_rank(arr, n1, n, alpha)
+    arr = _checked_split(null_pvalues, n1, n)
+    ranks, ceilings = anchor_choice(np.sort(arr)[None], n, alpha, n1)
+    rank, zeros = int(ranks[0]), max(int(ceilings[0] - ranks[0]), 0)
     rejected = [*np.argsort(arr, kind="stable")[:rank], *range(arr.size, arr.size + zeros)]
     return RejectionOutcome(rejected, n_false=rank)
 
@@ -265,14 +269,16 @@ def masked_zero_count(upper_sorted_nulls, n: int, n1: int, alpha: float,
     arr = check_pvalues(upper_sorted_nulls, "null p-values", positive=True)
     if np.any(np.diff(arr) < 0.0):
         raise ValueError("upper null p-values must be sorted ascending")
+    check_count("n1", n1, 0)
+    check_count("n", n, arr.size + 1)  # the withheld null counts too
     # The stand-in smallest null is never read.
-    return _plant_one(adversary, np.concatenate([arr[:1], arr]), int(n1), int(n), alpha)
+    return _plant_one(adversary, np.concatenate([arr[:1], arr]), n1, n, alpha)
 
 
 def complete_study(null_pvalues, n1: int, n: int, alpha: float,
                    adversary: AdversarySpec) -> CompletedStudy:
     """Apply an adversary description to the given nulls."""
-    arr, n1, n = _checked_split(null_pvalues, n1, n)
+    arr = _checked_split(null_pvalues, n1, n)
     zeros = _plant_one(adversary, arr, n1, n, alpha)
     pvalues = np.concatenate([arr, np.zeros(zeros), np.ones(n1 - zeros)])
     return CompletedStudy(PValueStudy(pvalues, np.arange(n) < arr.size), zeros)

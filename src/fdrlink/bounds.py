@@ -10,18 +10,22 @@ either a direct formula or the linking integral
 evaluated in closed form for the supported curve shapes. No quadrature is
 used in the shipped path; each curve knows the exact antiderivative of its
 own integrand (tests cross-check against adaptive quadrature).
+
+:func:`bounds_table` builds the ``fdrlink bounds`` rows straight from the
+bound functions here; Guo-Rao is the log-correction ``S(n)*pi0*alpha`` at
+``pi0 = 1``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .study import check_open_unit, check_pvalues, is_int, is_real
+from .study import check_count, check_open_unit, check_pvalues, is_int, is_real
 
 __all__ = [
     "LinearCurve",
@@ -29,7 +33,6 @@ __all__ = [
     "EmpiricalCurve",
     "NullFdrCurve",
     "AlphaInterval",
-    "BoundReport",
     "link_bound_raw",
     "fdr_link_bound",
     "prdn_bound",
@@ -40,7 +43,7 @@ __all__ = [
     "improvement_range",
     "fdx_bound",
     "guo_rao_reference",
-    "bound_report",
+    "bounds_table",
 ]
 
 
@@ -137,8 +140,7 @@ def fdr_link_bound(pi0: float, alpha: float, curve: NullFdrCurve) -> float:
 def prdn_bound(alpha: float) -> float:
     """FDR ceiling ``alpha + alpha * log(1/alpha)`` for positively regression
     dependent nulls, regardless of how the non-nulls depend on them."""
-    alpha = check_open_unit("alpha", alpha)
-    return alpha + alpha * math.log(1.0 / alpha)
+    return prdn_bound_pi0(1.0, alpha)
 
 
 def prdn_bound_pi0(pi0: float, alpha: float) -> float:
@@ -163,8 +165,7 @@ def harmonic(n: int) -> float:
     whose next term, ``1/(120n^4)``, is below 1e-25. Both are accurate to a
     relative error of a few 1e-16.
     """
-    if not (is_int(n) and n >= 1):
-        raise ValueError(f"harmonic number needs an integer n >= 1, got {n!r}")
+    check_count("n", n, 1)
     if n <= _HARMONIC_CUTOFF:
         return float(np.sum(1.0 / np.arange(1, n + 1, dtype=float)))
     return math.fsum((math.log(n), _EULER_GAMMA, 0.5 / n, -1.0 / (12.0 * n * n)))
@@ -240,52 +241,31 @@ def fdx_bound(pi0: float, alpha: float, gamma: float) -> float:
     return min(_fdx_raw(pi0, alpha, gamma), 1.0)
 
 
-def _guo_rao_raw(n: int, alpha: float) -> float:
-    return harmonic(n) * check_open_unit("alpha", alpha)
-
-
 def guo_rao_reference(n: int, alpha: float) -> float:
     """Worst-case global-null FDR value ``min(S(n) * alpha, 1)`` attained by a
     known adversarial joint distribution; used as a reference curve in
     consistency plots (the distribution itself is not constructed here)."""
-    return min(_guo_rao_raw(n, alpha), 1.0)
+    return log_correction_bound(n, 1.0, alpha)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """A named bound value with its parameters echoed and a clamping flag."""
-
-    name: str
-    value: float
-    clamped: bool
-    params: dict = field(default_factory=dict)
+_TABLE_HEADER = ("bound_name", "n", "n0", "pi0", "alpha", "gamma", "value", "clamped_flag")
 
 
-def _clamped_report(name: str, raw: float, **params) -> BoundReport:
-    clamped = raw > 1.0
-    return BoundReport(name=name, value=min(max(raw, 0.0), 1.0), clamped=clamped, params=params)
-
-
-def bound_report(name: str, *, n: int | None = None, n0: int | None = None,
-                 pi0: float | None = None, alpha: float | None = None,
-                 gamma: float | None = None) -> BoundReport:
-    """Evaluate a bound by name, echoing parameters and flagging clamping.
-
-    Known names: prdn, prdn_pi0, log_correction, arbitrary_dep, fdx, guo_rao.
-    """
-    params = {k: v for k, v in
-              dict(n=n, n0=n0, pi0=pi0, alpha=alpha, gamma=gamma).items()
-              if v is not None}
-    if name == "prdn":
-        return _clamped_report(name, prdn_bound(alpha), **params)
-    if name == "prdn_pi0":
-        return _clamped_report(name, prdn_bound_pi0(pi0, alpha), **params)
-    if name == "log_correction":
-        return _clamped_report(name, _log_correction_raw(n, pi0, alpha), **params)
-    if name == "arbitrary_dep":
-        return _clamped_report(name, arbitrary_dep_bound(n0, pi0, alpha), **params)
-    if name == "fdx":
-        return _clamped_report(name, _fdx_raw(pi0, alpha, gamma), **params)
-    if name == "guo_rao":
-        return _clamped_report(name, _guo_rao_raw(n, alpha), **params)
-    raise ValueError(f"unknown bound name: {name!r}")
+def bounds_table(n: int, n0: int, pi0: float, alphas: Sequence[float],
+                 gammas: Sequence[float] = ()) -> tuple[tuple[str, ...], list[list]]:
+    """The header and rows of every closed-form bound at each level in
+    `alphas`, and of the FDX bound at each `(alpha, gamma)` pair. A row holds
+    its value clamped to 1 and whether clamping changed it."""
+    if not alphas:
+        raise ValueError("alpha grid must be non-empty")
+    rows: list[list] = []
+    for alpha in alphas:
+        raws = [("prdn", "", prdn_bound(alpha)),
+                ("prdn_pi0", "", prdn_bound_pi0(pi0, alpha)),
+                ("log_correction", "", _log_correction_raw(n, pi0, alpha)),
+                ("arbitrary_dep", "", arbitrary_dep_bound(n0, pi0, alpha)),
+                ("guo_rao", "", _log_correction_raw(n, 1.0, alpha))]
+        raws += [("fdx", gamma, _fdx_raw(pi0, alpha, gamma)) for gamma in gammas]
+        rows += [[name, n, n0, pi0, alpha, gamma, min(raw, 1.0), raw > 1.0]
+                 for name, gamma, raw in raws]
+    return _TABLE_HEADER, rows

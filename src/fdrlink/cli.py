@@ -16,20 +16,20 @@ unwritable output path, 1 unexpected failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
+from .bounds import bounds_table
 from .dependence import check_index_set, structural_checks
 from .experiments import (
     ConfigError,
     OutputError,
     PRESETS,
     UnknownPresetError,
-    bounds_table,
     load_config,
     load_matrix,
     write_csv,
-    _is_existing_path,
     _render_csv,
 )
 
@@ -77,7 +77,7 @@ def _cmd_run(args) -> int:
                  "out_dir": args.out, "workers": args.workers}
     if args.target in PRESETS:
         cfg = load_config({"schema": 1, "preset": args.target}, overrides=overrides)
-    elif _is_existing_path(args.target):
+    elif os.path.exists(args.target):  # False for text the OS refuses as a path
         cfg = load_config(Path(args.target), overrides=overrides)
     else:
         raise UnknownPresetError(

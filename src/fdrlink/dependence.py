@@ -35,7 +35,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .study import PValueStudy, is_int, is_real
+from .study import PValueStudy, check_count, is_int, is_real
 
 __all__ = [
     "IidUniform",
@@ -139,10 +139,8 @@ def _check_finite(name: str, x) -> None:
 
 
 def _check_counts(n0, n1) -> None:
-    if not (is_int(n0) and n0 >= 1):
-        raise ValueError(f"n0 must be an integer >= 1, got {n0!r}")
-    if not (is_int(n1) and n1 >= 0):
-        raise ValueError(f"n1 must be an integer >= 0, got {n1!r}")
+    check_count("n0", n0, 1)
+    check_count("n1", n1, 0)
 
 
 @dataclass(frozen=True)
@@ -283,8 +281,9 @@ class BlockDependent:
     ``within='identical'`` gives every member of a block the same uniform
     draw (the most adversarial exchangeable choice); ``'equicorrelated'``
     uses a `rho_w`-equicorrelated Gaussian inside each block, with non-null
-    members shifted by `mu_alt` before the one- or two-sided transform
-    (identical blocks carry no shift).
+    members shifted by `mu_alt` before the one- or two-sided transform.
+    Identical blocks take no `rho_w` and are one-sided; they carry no
+    shift, so `mu_alt` goes unused.
 
     A draw takes every block's randomness from one generator call, in block
     order, which reproduces a draw block by block: one uniform per block, or
@@ -314,6 +313,8 @@ class BlockDependent:
             _check_finite("rho_w", self.rho_w)
         if self.within not in ("identical", "equicorrelated"):
             raise ValueError("within must be 'identical' or 'equicorrelated'")
+        if self.within == "identical" and (self.rho_w is not None or self.sided != "one"):
+            raise ValueError("identical blocks take no rho_w and are one-sided")
         if self.within == "equicorrelated":
             if self.rho_w is None:
                 raise ValueError("equicorrelated blocks need rho_w")
@@ -415,9 +416,7 @@ def equicorrelated_sqrt(n: int, rho: float) -> np.ndarray:
     Built from the spectral decomposition: eigenvalue ``1 + (n-1)*rho`` on the
     all-ones direction and ``1 - rho`` on its complement.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("need n >= 1")
+    check_count("n", n, 1)
     lead = 1.0 + (n - 1) * rho
     if lead < -1e-12 or rho >= 1.0:
         raise ValueError(f"rho={rho} inadmissible for n={n}")
@@ -446,8 +445,11 @@ def sample_null_pvalues(spec: GeneratorSpec, rng: np.random.Generator) -> np.nda
 
 
 def sample(spec: GeneratorSpec, seed: int) -> PValueStudy:
-    """Draw one study; deterministic given ``(spec, seed)``."""
-    return PValueStudy(*sample_arrays(spec, np.random.default_rng(int(seed) & _SEED_MASK)))
+    """Draw one study; deterministic given ``(spec, seed)``. Any plain
+    integer is a seed; it is taken modulo 2**64."""
+    if not is_int(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return PValueStudy(*sample_arrays(spec, np.random.default_rng(seed & _SEED_MASK)))
 
 
 def restrict_to_nulls(spec: GeneratorSpec) -> GeneratorSpec:

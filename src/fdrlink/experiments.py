@@ -16,13 +16,16 @@ Presets (default sizes are desk scale; reps and seed are overridable):
   E7  exceedance probabilities against the FDX bound
   E8  structural positive-dependence checks on a battery of covariances
 
-All outputs are CSV (RFC-4180-style, header row, 17 significant digits),
-written atomically: files appear only after the whole preset succeeds.
-E5 additionally emits tab-separated x/y series and a minimal SVG line chart.
+A preset returns ``{file name: (writer, *args)}``, and :func:`run` calls
+each writer once all are computed. Outputs are CSV (RFC-4180-style, header
+row, 17 significant digits), written atomically: files appear only after the
+whole preset succeeds. E5 adds tab-separated series and an SVG line chart.
 """
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import io
 import json
 import math
@@ -43,7 +46,6 @@ from .adversaries import (
     MASKED_STRATEGIES,
 )
 from .bounds import (
-    bound_report,
     fdx_bound,
     guo_rao_reference,
     improvement_range,
@@ -73,7 +75,6 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "run",
-    "bounds_table",
     "consistency_curve",
     "curve_is_decreasing",
     "load_matrix",
@@ -107,21 +108,18 @@ def format_value(x) -> str:
     return str(x)
 
 
-def _csv_quote(cell: str) -> str:
-    if any(ch in cell for ch in ',"\n'):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
-
-
 def _render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     buf = io.StringIO()
-    buf.write(",".join(_csv_quote(h) for h in header) + "\r\n")
-    for row in rows:
-        buf.write(",".join(_csv_quote(format_value(c)) for c in row) + "\r\n")
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows([format_value(c) for c in row] for row in rows)
     return buf.getvalue()
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
+    """Write `text` through a temporary file next to `path`, so that `path`
+    appears only whole; a failed write leaves neither behind."""
+    tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -129,6 +127,9 @@ def _atomic_write_text(path: Path, text: str) -> None:
             handle.write(text)
         os.replace(tmp, path)
     except OSError as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
@@ -326,18 +327,9 @@ class ExperimentConfig:
         return McConfig(reps=self.reps, master_seed=self.master_seed, workers=self.workers)
 
 
-def _is_existing_path(text: str) -> bool:
-    """Whether `text` names an existing file; text the OS refuses as a path
-    (a component over 255 characters, say) names none."""
-    try:
-        return Path(text).exists()
-    except OSError:
-        return False
-
-
 def load_config(source, *, env: Optional[Mapping[str, str]] = None,
                 overrides: Optional[Mapping] = None) -> ExperimentConfig:
-    """Parse a config document (dict, JSON text, or file path).
+    """Parse a config document: a mapping, or the path of a JSON file.
 
     Unknown keys are rejected; a ``schema`` field equal to the integer 1 is
     required, and a preset document may hold none of the custom keys, even
@@ -349,13 +341,10 @@ def load_config(source, *, env: Optional[Mapping[str, str]] = None,
     if isinstance(source, Mapping):
         doc = dict(source)
     else:
-        text = str(source)
-        # A config document is a JSON object; never probe the filesystem with one.
-        if not text.lstrip().startswith("{") and _is_existing_path(text):
-            try:
-                text = Path(text).read_text()
-            except (OSError, UnicodeDecodeError) as exc:
-                raise ConfigError(f"cannot read config file {source}: {exc}") from exc
+        try:
+            text = Path(source).read_text()
+        except (OSError, TypeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {source}: {exc}") from exc
         try:
             doc = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
@@ -391,26 +380,8 @@ def load_config(source, *, env: Optional[Mapping[str, str]] = None,
 
 
 # ---------------------------------------------------------------------------
-# Tables
+# Curves
 # ---------------------------------------------------------------------------
-
-_TABLE_HEADER = ("bound_name", "n", "n0", "pi0", "alpha", "gamma", "value", "clamped_flag")
-
-
-def bounds_table(n: int, n0: int, pi0: float, alphas: Sequence[float],
-                 gammas: Sequence[float] = ()) -> tuple[tuple[str, ...], list[list]]:
-    """All closed-form bounds over the level grid (and exceedance grid)."""
-    if not alphas:
-        raise ValueError("alpha grid must be non-empty")
-    rows: list[list] = []
-    for alpha in alphas:
-        for name in ("prdn", "prdn_pi0", "log_correction", "arbitrary_dep", "guo_rao"):
-            rep = bound_report(name, n=n, n0=n0, pi0=pi0, alpha=alpha)
-            rows.append([name, n, n0, pi0, alpha, "", rep.value, rep.clamped])
-        for gamma in gammas:
-            rep = bound_report("fdx", n=n, n0=n0, pi0=pi0, alpha=alpha, gamma=gamma)
-            rows.append(["fdx", n, n0, pi0, alpha, gamma, rep.value, rep.clamped])
-    return _TABLE_HEADER, rows
 
 
 def consistency_curve(members: Mapping[str, GeneratorSpec], alpha_grid: Sequence[float],
@@ -465,8 +436,8 @@ def _preset_e1(cfg: ExperimentConfig) -> dict[str, tuple]:
         est = estimate_fdr(gen, InformedAdversary(), "step_up", alpha, cfg.mc())
         bound = prdn_bound_pi0(pi0, alpha)
         rows.append([alpha, est.mean, est.stderr, bound, _passes(est, bound)])
-    return {"E1_prdn_envelope.csv":
-            (("alpha", "fdr_mean", "fdr_stderr", "prdn_bound", "pass"), rows)}
+    header = ("alpha", "fdr_mean", "fdr_stderr", "prdn_bound", "pass")
+    return {"E1_prdn_envelope.csv": (write_csv, header, rows)}
 
 
 def _preset_e2(cfg: ExperimentConfig) -> dict[str, tuple]:
@@ -482,7 +453,7 @@ def _preset_e2(cfg: ExperimentConfig) -> dict[str, tuple]:
                      bound, est.mean / bound])
     header = ("alpha", "effective_level", "fdr_mean", "fdr_stderr",
               "limit_mean", "limit_stderr", "upper_bound", "tightness_ratio")
-    return {"E2_tightness.csv": (header, rows)}
+    return {"E2_tightness.csv": (write_csv, header, rows)}
 
 
 def _preset_e3(cfg: ExperimentConfig) -> dict[str, tuple]:
@@ -495,8 +466,8 @@ def _preset_e3(cfg: ExperimentConfig) -> dict[str, tuple]:
             envelope = 3.5 * alpha
             rows.append([strategy, alpha, est.mean, est.stderr, envelope,
                          _passes(est, envelope)])
-    return {"E3_bonferroni_masked.csv":
-            (("strategy", "alpha", "fdr_mean", "fdr_stderr", "envelope", "pass"), rows)}
+    header = ("strategy", "alpha", "fdr_mean", "fdr_stderr", "envelope", "pass")
+    return {"E3_bonferroni_masked.csv": (write_csv, header, rows)}
 
 
 def _preset_e4(cfg: ExperimentConfig) -> dict[str, tuple]:
@@ -509,7 +480,7 @@ def _preset_e4(cfg: ExperimentConfig) -> dict[str, tuple]:
             old = log_correction_bound(n, pi0, alpha)
             rows.append([n, n0, pi0, float(alpha), new, old, new < old])
     header = ("n", "n0", "pi0", "alpha", "bound_new", "bound_log", "improved")
-    return {"E4_improvement.csv": (header, rows)}
+    return {"E4_improvement.csv": (write_csv, header, rows)}
 
 
 def _consistency_members() -> dict[str, dict[str, GeneratorSpec]]:
@@ -549,9 +520,9 @@ def _preset_e5(cfg: ExperimentConfig) -> dict[str, tuple]:
         rows.append(["guo_rao_reference_n1e4", alpha, value, 0.0, "closed_form", False])
     header = ("class", "alpha", "sup_fdr", "sup_stderr", "member", "decreasing_flag")
     return {
-        "E5_consistency.csv": (header, rows),
-        "E5_consistency.tsv": ("__series__", (alpha_grid, series)),
-        "E5_consistency.svg": ("__svg__", (alpha_grid, series)),
+        "E5_consistency.csv": (write_csv, header, rows),
+        "E5_consistency.tsv": (emit_series, "alpha", alpha_grid, series),
+        "E5_consistency.svg": (render_svg_line_chart, "E5_consistency", alpha_grid, series),
     }
 
 
@@ -583,7 +554,7 @@ def _preset_e6(cfg: ExperimentConfig) -> dict[str, tuple]:
                          _passes(report.lhs, report.rhs)])
     header = ("generator", "adversary", "alpha", "fdr_mean", "fdr_stderr",
               "link_bound", "slack", "pass")
-    return {"E6_linking.csv": (header, rows)}
+    return {"E6_linking.csv": (write_csv, header, rows)}
 
 
 def _preset_e7(cfg: ExperimentConfig) -> dict[str, tuple]:
@@ -601,7 +572,7 @@ def _preset_e7(cfg: ExperimentConfig) -> dict[str, tuple]:
             rows.append([label, alpha, gamma, est.mean, est.stderr, bound,
                          _passes(est, bound)])
     header = ("generator", "alpha", "gamma", "fdx_mean", "fdx_stderr", "fdx_bound", "pass")
-    return {"E7_fdx.csv": (header, rows)}
+    return {"E7_fdx.csv": (write_csv, header, rows)}
 
 
 def _structural_battery() -> dict[str, tuple[np.ndarray, list[int]]]:
@@ -632,7 +603,7 @@ def _preset_e8(cfg: ExperimentConfig) -> dict[str, tuple]:
         rows.append([label, sigma.shape[0], len(null_idx), prdn, prds,
                      signs is not None, signs or ""])
     header = ("matrix", "n", "n0", "prdn", "prds", "mtp2_feasible", "signs")
-    return {"E8_structural.csv": (header, rows)}
+    return {"E8_structural.csv": (write_csv, header, rows)}
 
 
 PRESETS = {
@@ -660,14 +631,14 @@ def _run_custom(cfg: ExperimentConfig) -> dict[str, tuple]:
     except ValueError as exc:  # the adversary cannot run on the generator
         raise ConfigError(f"cannot run {cfg.name!r}: {exc}") from exc
     header = ("target", "alpha", "gamma", "mean", "stderr")
-    return {f"{cfg.name}.csv": (header, rows)}
+    return {f"{cfg.name}.csv": (write_csv, header, rows)}
 
 
 def run(cfg: ExperimentConfig) -> list[Path]:
     """Execute a preset or custom experiment; returns the written files.
 
-    All tables are computed before anything is written, so a failure leaves
-    no partial outputs.
+    Every payload is computed before anything is written, so a failed
+    computation leaves no partial outputs.
     """
     if cfg.preset is not None:
         if cfg.preset not in PRESETS:
@@ -676,18 +647,5 @@ def run(cfg: ExperimentConfig) -> list[Path]:
         outputs = PRESETS[cfg.preset](cfg)
     else:
         outputs = _run_custom(cfg)
-
-    written = []
-    for filename, payload in outputs.items():
-        path = cfg.out_dir / filename
-        kind = payload[0]
-        if kind == "__series__":
-            xs, series = payload[1]
-            written.append(emit_series(path, "alpha", xs, series))
-        elif kind == "__svg__":
-            xs, series = payload[1]
-            written.append(render_svg_line_chart(path, Path(filename).stem, xs, series))
-        else:
-            header, rows = payload
-            written.append(write_csv(path, header, rows))
-    return written
+    return [writer(cfg.out_dir / filename, *args)
+            for filename, (writer, *args) in outputs.items()]

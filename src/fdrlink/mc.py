@@ -56,7 +56,7 @@ from .adversaries import (AdversarySpec, InformedAdversary, MostAntiConservative
 from .bounds import EmpiricalCurve, fdr_link_bound
 from .dependence import GeneratorSpec, restrict_to_nulls, sample_rows
 from .procedures import simes_sorted, step_count
-from .study import check_open_unit, is_int
+from .study import check_count, check_open_unit, is_int
 
 __all__ = [
     "McConfig",
@@ -128,8 +128,7 @@ class McConfig:
     workers: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not (is_int(self.reps) and self.reps >= 1):
-            raise ValueError(f"reps must be an integer >= 1, got {self.reps!r}")
+        check_count("reps", self.reps, 1)
         if not is_int(self.master_seed):
             raise ValueError(f"master_seed must be an integer, got {self.master_seed!r}")
         if self.workers is not None and not (is_int(self.workers) and self.workers >= 1):
@@ -320,8 +319,7 @@ def estimate_fdp_moment(gen: GeneratorSpec, adv: Optional[AdversarySpec], proc: 
                         alpha: float, k: int, cfg: McConfig) -> McEstimate:
     """Monte Carlo mean of ``FDP**k``; k = 1 reproduces :func:`estimate_fdr`
     on the same seeds."""
-    if not (is_int(k) and k >= 1):
-        raise ValueError(f"moment order must be an integer >= 1, got {k!r}")
+    check_count("moment order", k, 1)
     return McEstimate.from_values(fdp_values(gen, adv, proc, alpha, cfg) ** k, cfg)
 
 

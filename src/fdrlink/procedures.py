@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .study import PValueStudy, RejectionOutcome, check_open_unit, check_pvalues
+from .study import PValueStudy, RejectionOutcome, check_count, check_open_unit, check_pvalues
 
 __all__ = [
     "bh_step_up",
@@ -57,7 +57,7 @@ def min_rejections_for(pvalue: float, n: int, alpha: float) -> int:
     comparison the step procedures make (see :func:`threshold_ceil`)."""
     if pvalue <= 0.0:
         raise ValueError("min_rejections_for requires a positive p-value")
-    return int(threshold_ceil(np.array([float(pvalue)]), int(n), alpha)[0])
+    return int(threshold_ceil(np.array([float(pvalue)]), check_count("n", n, 1), alpha)[0])
 
 
 def step_count(sorted_p: np.ndarray, n: int, alpha: float, proc: str,
@@ -143,8 +143,6 @@ def fdp_upper_bound(null_pvalues: Sequence[float], n: int, alpha: float) -> Frac
 
     alpha = check_open_unit("alpha", alpha)
     arr = check_pvalues(null_pvalues, "null p-values")
-    n = int(n)
-    if n < arr.size:
-        raise ValueError("n must be at least the number of null p-values")
+    check_count("n", n, arr.size)  # n counts every null
     rank, ceiling = anchor_choice(np.sort(arr)[None], n, alpha)
     return min(Fraction(int(rank[0]), int(ceiling[0])), Fraction(1))

@@ -28,6 +28,14 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def check_count(name: str, value, low: int) -> int:
+    """`value` once it is a plain integer of at least `low`: the one rule for
+    counts, so that none is truncated or taken out of range."""
+    if not (is_int(value) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def check_open_unit(name: str, x) -> float:
     """`x` as a float, once it is a real number strictly inside (0, 1)."""
     if not (is_real(x) and 0.0 < x < 1.0):

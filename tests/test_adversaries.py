@@ -13,8 +13,10 @@ from fdrlink import (
     FixedZerosAdversary,
     InformedAdversary,
     MostAntiConservativeAdversary,
+    IidUniform,
     bh_step_up,
     complete_study,
+    equicorrelated_sqrt,
     fdp_upper_bound,
     feasible_max_fdp_rank,
     informed_adversary,
@@ -23,6 +25,7 @@ from fdrlink import (
     max_fdp_rank,
     min_rejections_for,
     most_anti_conservative,
+    sample,
 )
 
 from fdrlink.adversaries import anchor_choice
@@ -407,3 +410,36 @@ class TestCompleteStudy:
                 assert is_compliant(completed.study, out, alpha)
             else:
                 assert completed.planted_zeros == 0
+
+
+class TestCountRule:
+    """Counts are plain integers in range, never truncated: n1 >= 0 and
+    n >= max(1, n0), with n0 the number of full nulls."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: masked_zero_count([0.02, 0.03], 10, -3, 0.5),
+        lambda: masked_zero_count([0.02, 0.03], 10.5, 3, 0.5),
+        lambda: masked_zero_count([0.02, 0.03], 2, 0, 0.5),  # n0 = 3 with the withheld null
+        lambda: max_fdp_rank([0.01, 0.02], 1, 0.05),
+        lambda: max_fdp_rank([0.01], True, 0.05),
+        lambda: fdp_upper_bound([0.01, 0.02], 10.9, 0.05),
+        lambda: feasible_max_fdp_rank([0.01, 0.02], 2.7, 10, 0.05),
+        lambda: feasible_max_fdp_rank([0.01, 0.02], 8, 1, 0.05),
+        lambda: complete_study([0.01, 0.02], 2.9, 4.9, 0.05, InformedAdversary()),
+        lambda: most_anti_conservative([0.01, 0.02], 8, 10.0, 0.05),
+        lambda: min_rejections_for(0.01, 10.9, 0.05),
+        lambda: equicorrelated_sqrt(3.9, 0.2),
+        lambda: sample(IidUniform(3), 2.7),
+        lambda: sample(IidUniform(3), "5"),
+    ], ids=["masked-negative-n1", "masked-float-n", "masked-n-below-n0", "rank-n-below-n0",
+            "rank-bool-n", "ceiling-float-n", "feasible-float-n1", "feasible-n-below-n0",
+            "complete-float-counts", "anti-float-n", "min-rejections-float-n",
+            "equicorrelated-float-n", "sample-float-seed", "sample-text-seed"])
+    def test_rejected(self, call):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
+    def test_any_plain_integer_is_a_seed(self):
+        spec = IidUniform(3)
+        assert np.array_equal(sample(spec, -1).pvalues, sample(spec, 2**64 - 1).pvalues)
+        assert np.array_equal(sample(spec, 2**64 + 5).pvalues, sample(spec, 5).pvalues)

@@ -13,7 +13,6 @@ from fdrlink import (
     LinearCurve,
     WorstCaseCurve,
     arbitrary_dep_bound,
-    bound_report,
     fdr_link_bound,
     fdx_bound,
     guo_rao_reference,
@@ -24,8 +23,7 @@ from fdrlink import (
     prdn_bound,
     prdn_bound_pi0,
 )
-from fdrlink.bounds import _HARMONIC_CUTOFF
-from fdrlink.experiments import bounds_table
+from fdrlink.bounds import _HARMONIC_CUTOFF, bounds_table
 
 
 def harmonic_oracle(n: int) -> Fraction:
@@ -289,16 +287,19 @@ class TestImprovementRange:
         assert grid.size == 5 and np.all((grid > 0.2) & (grid < 0.4))
 
 
+def _table_row(name: str, n: int = 50, n0: int = 20, pi0: float = 0.5,
+               alpha: float = 0.1, gamma: float = 0.3) -> list:
+    """The row `name` of a one-level bounds table."""
+    _, rows = bounds_table(n, n0, pi0, [alpha], [gamma])
+    return next(row for row in rows if row[0] == name)
+
+
 class TestReports:
     def test_clamped_flag(self):
-        report = bound_report("guo_rao", n=10**4, alpha=0.9)
-        assert report.value == 1.0 and report.clamped
-        report = bound_report("prdn", alpha=0.01)
-        assert not report.clamped and report.params["alpha"] == 0.01
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            bound_report("nope", alpha=0.1)
+        row = _table_row("guo_rao", n=10**4, alpha=0.9)
+        assert row[6] == 1.0 and row[7] is True
+        row = _table_row("prdn", n=10**4, alpha=0.9)
+        assert row[6] < 1.0 and row[7] is False
 
     @pytest.mark.parametrize("name, bound, args", [
         ("log_correction", log_correction_bound, dict(n=50, pi0=0.4, alpha=0.1)),
@@ -307,9 +308,13 @@ class TestReports:
         ("fdx", fdx_bound, dict(pi0=0.9, alpha=0.5, gamma=0.3)),
         ("guo_rao", guo_rao_reference, dict(n=50, alpha=0.1)),
         ("guo_rao", guo_rao_reference, dict(n=50, alpha=0.5)),
+        ("prdn", prdn_bound, dict(alpha=0.3)),
+        ("prdn_pi0", prdn_bound_pi0, dict(pi0=0.4, alpha=0.3)),
+        ("arbitrary_dep", arbitrary_dep_bound, dict(n0=20, pi0=0.4, alpha=0.01)),
+        ("arbitrary_dep", arbitrary_dep_bound, dict(n0=20, pi0=0.9, alpha=0.5)),
     ])
     def test_report_value_is_the_named_bound(self, name, bound, args):
-        assert bound_report(name, **args).value == bound(**args)
+        assert _table_row(name, **args)[6] == bound(**args)
 
     @pytest.mark.parametrize("name, args", [
         ("guo_rao", dict(n=10.7, alpha=0.1)),
@@ -319,7 +324,7 @@ class TestReports:
     ])
     def test_non_integer_counts_rejected(self, name, args):
         with pytest.raises(ValueError):
-            bound_report(name, **args)
+            _table_row(name, **args)
 
     def test_bounds_table_columns(self):
         header, rows = bounds_table(100, 60, 0.6, [0.05, 0.1], [0.25])

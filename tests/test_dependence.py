@@ -127,6 +127,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BlockDependent((3,), null_mask=[True, False])
 
+    @pytest.mark.parametrize("kwargs", [dict(rho_w=0.5), dict(sided="two")])
+    def test_identical_blocks_reject_what_they_ignore(self, kwargs):
+        with pytest.raises(ValueError, match="identical blocks"):
+            BlockDependent((3, 3), **kwargs)
+
     @pytest.mark.parametrize("build, message", [
         (lambda: EquicorrelatedNormal(50, 50, 0.1, mu_alt=np.nan), "mu_alt must be finite"),
         (lambda: BlockDependent((2,) * 50, "equicorrelated", 0.3, np.arange(100) < 50,

@@ -1,7 +1,9 @@
 """Tests for the experiment runner, config handling, and the CLI."""
 
+import errno
 import inspect
 import json
+import os
 import subprocess
 import sys
 import typing
@@ -21,6 +23,7 @@ from fdrlink.experiments import (
     _config_keys,
     ConfigError,
     ExperimentConfig,
+    OutputError,
     UnknownPresetError,
     consistency_curve,
     curve_is_decreasing,
@@ -120,14 +123,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             ExperimentConfig(generator=IidUniform(3, 0), alpha_grid=())
 
-    def test_invalid_json_text(self):
+    def test_invalid_json_text(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
         with pytest.raises(ConfigError):
-            load_config("{not json", env={})
-
-    def test_long_json_text_is_not_probed_as_a_path(self):
-        # A path component over 255 characters makes a filesystem probe fail.
-        text = json.dumps({"schema": 1, "preset": "E4", "name": "x" * 300})
-        assert load_config(text, env={}).name == "x" * 300
+            load_config(path, env={})
 
     def test_long_name_is_not_a_path(self):
         with pytest.raises(ConfigError):
@@ -142,6 +142,15 @@ class TestOutputs:
         assert lines[0] == "a,b"
         assert lines[1] == '0.33333333333333331,"x,y"'
         assert lines[2] == "2,true"
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def no_space(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", no_space)
+        with pytest.raises(OutputError):
+            write_csv(tmp_path / "x.csv", ("a",), [[1]])
+        assert list(tmp_path.iterdir()) == []
 
     def test_series_and_svg(self, tmp_path):
         xs = [0.1, 0.2]
@@ -377,9 +386,13 @@ class TestCli:
          "no null components"),
         ({"generator": {"type": "prdn_gaussian", "null_idx": [0]}},
          "generator type 'prdn_gaussian' needs a sigma_file"),
+        ({"generator": {"type": "block", "block_sizes": [3, 3], "rho_w": 0.5}},
+         "identical blocks take no rho_w"),
+        ({"generator": {"type": "block", "block_sizes": [3, 3], "sided": "two"}},
+         "identical blocks take no rho_w"),
     ], ids=["procedure-bogus", "mac-without-zeros", "null_mask-ints", "out_dir-int",
             "name-with-dir", "zeros-above-n1", "masked-one-null", "block-no-nulls",
-            "prdn-without-sigma_file"])
+            "prdn-without-sigma_file", "identical-with-rho_w", "identical-two-sided"])
     def test_bad_custom_field_exit_code(self, tmp_path, capsys, changes, message):
         doc = {"schema": 1, "name": "tiny", "generator": {"type": "iid_uniform", "n0": 10},
                "adversary": {"type": "informed"}, "alpha_grid": [0.1], "reps": 10,
