@@ -256,6 +256,7 @@ def bounds_table(n: int, n0: int, pi0: float, alphas: Sequence[float],
     """The header and rows of every closed-form bound at each level in
     `alphas`, and of the FDX bound at each `(alpha, gamma)` pair. A row holds
     its value clamped to 1 and whether clamping changed it."""
+    check_count("n", n, check_count("n0", n0, 1))
     if not alphas:
         raise ValueError("alpha grid must be non-empty")
     rows: list[list] = []

@@ -2,10 +2,12 @@
 checks for positive-dependence conditions on Gaussian covariances.
 
 Generator specs are declarative, immutable descriptions; sampling is a pure
-function of ``(spec, seed)``. A spec's ``draw(rng, rows)`` draws ``rows``
-studies at once as a row-major ``(rows, n)`` matrix whose rows are
-consecutive in the generator's stream: the matrix equals ``rows`` successive
-one-row draws, so splitting a draw into row chunks changes no value. A
+function of ``(spec, seed)``. A spec's ``scores(rng, rows)`` draws ``rows``
+studies at once as a row-major ``(rows, n)`` matrix of raw scores whose rows
+are consecutive in the generator's stream: the matrix equals ``rows``
+successive one-row draws, so splitting a draw into row chunks changes no
+value. ``draw`` maps the scores to p-values through the spec's one
+:class:`PValueLaw`, whose keys also decide ``p <= t`` without that map. A
 spec's ``nulls_only()`` is the spec of its null components alone; every
 null-only draw, in the Monte Carlo engine and in :func:`sample_null_pvalues`,
 is a ``draw`` of that spec. Null p-values are marginally Uniform(0, 1) under
@@ -22,16 +24,16 @@ checks on a covariance: PRDN, PRDS and the two-sided sign assignment.
 
 The normal CDF and quantile wrappers carry a contract of max absolute error
 at most 1e-12; they delegate to scipy's ``ndtr``/``ndtri``, which are
-accurate to machine precision. scipy is imported on the first Gaussian draw
-or wrapper call, not with this module, so a process that draws only uniform
-p-values never loads it.
+accurate to machine precision. scipy is imported on the first Gaussian draw,
+cut or wrapper call, not with this module, so a process that draws only
+uniform p-values never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,10 +46,12 @@ __all__ = [
     "BlockDependent",
     "TwoSidedWrap",
     "GeneratorSpec",
+    "PValueLaw",
     "sample",
     "sample_arrays",
     "sample_null_pvalues",
     "sample_rows",
+    "sample_scores",
     "restrict_to_nulls",
     "equicorrelated_sqrt",
     "two_sided_from_one_sided",
@@ -118,6 +122,72 @@ def _pvalues_from_z(z: np.ndarray, sided: str) -> np.ndarray:
     return 2.0 * ndtr(-np.abs(z))
 
 
+# The window of a Gaussian cut on the level q that ndtr meets: relative 1e-10
+# covers the errors of scipy's ndtr and ndtri (under 1e-12 down to q = 1e-308);
+# absolute 1e-15, the rounding of 1 - p where a fold meets a one-sided p > 1/2.
+_CUT_REL, _CUT_ABS = 1e-10, 1e-15
+
+
+@dataclass(frozen=True)
+class PValueLaw:
+    """A spec's map ``pvalues(raw)`` from raw scores to p-values, and keys
+    deciding ``p <= t`` without it: with ``(lo, hi) = cuts(t)``, keys at or
+    below `lo` pass and keys above `hi` fail. `score` is 'uniform' (keys are
+    the scores), 'normal' (keys ``-z``, cuts a widened ``ndtri``) or None (keys
+    are the p-values); two-sided keys fold the score against half the level."""
+
+    pvalues: Callable[[np.ndarray], np.ndarray]
+    score: Optional[str]
+    sided: str = "one"
+
+    def keys(self, raw: np.ndarray) -> np.ndarray:
+        if self.score is None:
+            return self.pvalues(raw)
+        if self.score == "uniform":
+            return raw if self.sided == "one" else np.minimum(raw, 1.0 - raw)
+        return -raw if self.sided == "one" else -np.abs(raw)
+
+    def cuts(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q = t if self.score is None or self.sided == "one" else t / 2
+        if self.score != "normal":
+            return q, q
+        from scipy.special import ndtri
+        return (ndtri(np.maximum(q * (1.0 - _CUT_REL) - _CUT_ABS, 0.0)),
+                ndtri(np.minimum(q * (1.0 + _CUT_REL) + _CUT_ABS, 1.0)))
+
+    def folded(self) -> "PValueLaw":
+        """The law of these p-values' two-sided fold (keyless if two-sided)."""
+        return PValueLaw(lambda raw: two_sided_from_one_sided(self.pvalues(raw)),
+                         self.score if self.sided == "one" else None, "two")
+
+
+_UNIFORM = PValueLaw(lambda raw: raw, "uniform")
+_GAUSSIAN = {s: PValueLaw(lambda z, s=s: _pvalues_from_z(z, s), "normal", s)
+             for s in ("one", "two")}
+
+
+class _Spec:
+    """A generator spec: a draw is its law's p-values of its score draw. Its
+    scores are z-scores unless it says otherwise; it defines `n1` or `n`."""
+
+    @property
+    def n(self) -> int:
+        return self.n0 + self.n1
+
+    @property
+    def n1(self) -> int:
+        return self.n - self.n0
+
+    @property
+    def law(self) -> PValueLaw:
+        return _GAUSSIAN[self.sided]
+
+    def draw(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """`rows` studies as a ``(rows, n)`` p-value matrix and the null mask."""
+        raw, mask = self.scores(rng, rows)
+        return self.law.pvalues(raw), mask
+
+
 def _equicorrelate(z: np.ndarray, rho: float) -> np.ndarray:
     """Map iid standard normals to rho-equicorrelated ones along the last
     axis (each row an independent group) with the closed-form root in O(n),
@@ -144,7 +214,7 @@ def _check_counts(n0, n1) -> None:
 
 
 @dataclass(frozen=True)
-class IidUniform:
+class IidUniform(_Spec):
     """All p-values iid Uniform(0, 1); the first `n0` are the nulls."""
 
     n0: int
@@ -153,12 +223,10 @@ class IidUniform:
     def __post_init__(self) -> None:
         _check_counts(self.n0, self.n1)
 
-    @property
-    def n(self) -> int:
-        return self.n0 + self.n1
+    law = _UNIFORM
 
-    def draw(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """`rows` studies as a ``(rows, n)`` p-value matrix and the null mask."""
+    def scores(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """`rows` studies as a ``(rows, n)`` score matrix and the null mask."""
         return rng.random((rows, self.n)), np.arange(self.n) < self.n0
 
     def nulls_only(self) -> "IidUniform":
@@ -167,7 +235,7 @@ class IidUniform:
 
 
 @dataclass(frozen=True)
-class EquicorrelatedNormal:
+class EquicorrelatedNormal(_Spec):
     """Nulls from an equicorrelated Gaussian; non-nulls independent shifts.
 
     The null z-scores are `rho`-equicorrelated standard normals, admissible
@@ -194,16 +262,12 @@ class EquicorrelatedNormal:
                 f"{-1.0 / (self.n0 - 1)}"
             )
 
-    @property
-    def n(self) -> int:
-        return self.n0 + self.n1
-
-    def draw(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    def scores(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
         # Per row: the null normals, then the non-null ones.
         z = rng.standard_normal((rows, self.n))
         _equicorrelate(z[:, :self.n0], self.rho)
         z[:, self.n0:] += self.mu_alt
-        return _pvalues_from_z(z, self.sided), np.arange(self.n) < self.n0
+        return z, np.arange(self.n) < self.n0
 
     def nulls_only(self) -> "EquicorrelatedNormal":
         return self if self.n1 == 0 else \
@@ -211,7 +275,7 @@ class EquicorrelatedNormal:
 
 
 @dataclass(frozen=True, eq=False)
-class PrdnGaussian:
+class PrdnGaussian(_Spec):
     """Gaussian p-values with an explicit covariance and null index set.
 
     `sigma` must be symmetric positive semidefinite with unit diagonal; the
@@ -262,20 +326,16 @@ class PrdnGaussian:
     def n0(self) -> int:
         return len(self.null_idx)
 
-    @property
-    def n1(self) -> int:
-        return self.n - self.n0
-
-    def draw(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    def scores(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
         z = self.mu + _times_rows(self._sqrt, rng.standard_normal((rows, self.n)))
-        return _pvalues_from_z(z, self.sided), np.isin(np.arange(self.n), self.null_idx)
+        return z, np.isin(np.arange(self.n), self.null_idx)
 
     def nulls_only(self) -> "PrdnGaussian":
         return self._nulls
 
 
 @dataclass(frozen=True, eq=False)
-class BlockDependent:
+class BlockDependent(_Spec):
     """Independent blocks with an exchangeable law inside each block.
 
     ``within='identical'`` gives every member of a block the same uniform
@@ -347,18 +407,18 @@ class BlockDependent:
         return int(np.count_nonzero(self.null_mask))
 
     @property
-    def n1(self) -> int:
-        return self.n - self.n0
+    def law(self) -> PValueLaw:
+        return _UNIFORM if self.within == "identical" else _GAUSSIAN[self.sided]
 
-    def draw(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    def scores(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
         if self.within == "identical":
-            p = np.repeat(rng.random((rows, len(self.block_sizes))), self.block_sizes, axis=1)
+            raw = np.repeat(rng.random((rows, len(self.block_sizes))), self.block_sizes, axis=1)
         else:
             z = rng.standard_normal((rows, self.n))
             for idx in self._groups:
                 z[:, idx] = _equicorrelate(z[:, idx], self.rho_w)
-            p = _pvalues_from_z(z + np.where(self.null_mask, 0.0, self.mu_alt), self.sided)
-        return p, self.null_mask.copy()
+            raw = z + np.where(self.null_mask, 0.0, self.mu_alt)
+        return raw, self.null_mask.copy()
 
     def nulls_only(self) -> "BlockDependent":
         if self._nulls is None:
@@ -367,7 +427,7 @@ class BlockDependent:
 
 
 @dataclass(frozen=True)
-class TwoSidedWrap:
+class TwoSidedWrap(_Spec):
     """Fold an inner one-sided generator through the two-sided transform."""
 
     inner: "GeneratorSpec"
@@ -381,12 +441,11 @@ class TwoSidedWrap:
         return self.inner.n0
 
     @property
-    def n1(self) -> int:
-        return self.inner.n1
+    def law(self) -> PValueLaw:
+        return self.inner.law.folded()
 
-    def draw(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        p, mask = self.inner.draw(rng, rows)
-        return two_sided_from_one_sided(p), mask
+    def scores(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.inner.scores(rng, rows)
 
     def nulls_only(self) -> "TwoSidedWrap":
         return TwoSidedWrap(self.inner.nulls_only())
@@ -431,6 +490,13 @@ def sample_rows(spec: GeneratorSpec, rng: np.random.Generator,
                 rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw `rows` studies: a ``(rows, n)`` p-value matrix and the null mask."""
     return spec.draw(rng, rows)
+
+
+def sample_scores(spec: GeneratorSpec, rng: np.random.Generator,
+                  rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw `rows` studies as raw scores (``spec.law`` maps them to p-values)
+    and the null mask."""
+    return spec.scores(rng, rows)
 
 
 def sample_arrays(spec: GeneratorSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

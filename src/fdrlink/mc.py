@@ -30,14 +30,16 @@ chunk draws them in one call, which consumes the stream as one row after
 another does. Its partial sums go through the same rank/ceiling kernel as
 the adversaries, ``anchor_choice`` with ``n = 1``.
 
-Pipeline for FDR-type targets, row-wise over a chunk of replications: sample
-the nulls (rows of the null spec ``restrict_to_nulls(gen)``, which the Simes
-curve pass draws too), apply the adversary (or keep the generated non-nulls
-when no adversary is given), run the procedure, record the false discovery
-proportion. An adversary-completed study is [zeros, sorted nulls, ones] in
-sorted order, so the step count runs on the sorted nulls with the planted
-zeros as a rank offset. Rank, zero count, step count and Simes value come
-from the row-wise kernels of ``adversaries`` and ``procedures``.
+Pipeline for FDR-type targets, row-wise over a chunk of replications. With
+an adversary: sample the rows of the null spec ``restrict_to_nulls(gen)``
+(the Simes curve pass draws them too), plant the zeros and run the step
+count on the sorted nulls with the zeros as a rank offset. Without one, the
+sorted keys of the generator's p-value law meet its cuts at ``alpha * j /
+n``, and the null keys the cut at R; a row with a key inside a cut's window
+takes the p-value path (its p-values, sorted, through ``step_count``), so
+Gaussian rows call ``ndtr`` only there and every count is the p-values'.
+Rank, zero count, step rule and Simes value are the row-wise kernels of
+``adversaries`` and ``procedures``.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ import numpy as np
 from .adversaries import (AdversarySpec, InformedAdversary, MostAntiConservativeAdversary,
                           anchor_choice)
 from .bounds import EmpiricalCurve, fdr_link_bound
-from .dependence import GeneratorSpec, restrict_to_nulls, sample_rows
-from .procedures import simes_sorted, step_count
+from .dependence import GeneratorSpec, restrict_to_nulls, sample_rows, sample_scores
+from .procedures import simes_sorted, step_count, step_rule
 from .study import check_count, check_open_unit, is_int
 
 __all__ = [
@@ -182,6 +184,7 @@ class _FdpTask:
     proc: str
     alpha: float
     nulls: Optional[GeneratorSpec]  # restrict_to_nulls(gen) when adv is given
+    cuts: Optional[tuple]  # gen.law.cuts(alpha * j / n), j = 0..n, when adv is None
 
     @property
     def width(self) -> int:
@@ -190,9 +193,25 @@ class _FdpTask:
     def rows(self, rng: np.random.Generator, count: int) -> np.ndarray:
         n, alpha = self.gen.n, self.alpha
         if self.adv is None:
-            p, mask = sample_rows(self.gen, rng, count)
-            r = step_count(np.sort(p, axis=1), n, alpha, self.proc)
-            false = np.count_nonzero(p[:, mask] <= (alpha * r / n)[:, None], axis=1)
+            raw, mask = sample_scores(self.gen, rng, count)
+            law, (lo, hi) = self.gen.law, self.cuts
+            keys = law.keys(raw)
+            ranked = np.sort(keys, axis=1)
+            ok = ranked <= lo[1:]
+            r = step_rule(ok, self.proc)
+            null_keys = keys[:, mask]
+            below = null_keys <= lo[r][:, None]
+            false = np.count_nonzero(below, axis=1)
+            # A key inside a window it is tested against (exact cuts, lo is hi,
+            # have none) sends its row through the p-values.
+            redo = () if hi is lo else np.flatnonzero(
+                ((ranked <= hi[1:]) != ok).any(axis=1)
+                | ((null_keys <= hi[r][:, None]) != below).any(axis=1))
+            if len(redo):
+                p = law.pvalues(raw[redo])
+                r[redo] = step_count(np.sort(p, axis=1), n, alpha, self.proc)
+                false[redo] = np.count_nonzero(p[:, mask] <= (alpha * r[redo] / n)[:, None],
+                                               axis=1)
             return false / np.maximum(r, 1)
         nulls_sorted = sample_rows(self.nulls, rng, count)[0]
         nulls_sorted.sort(axis=1)
@@ -298,7 +317,8 @@ def fdp_values(gen: GeneratorSpec, adv: Optional[AdversarySpec], proc: str,
     alpha = check_open_unit("alpha", alpha)
     check_procedure(proc, adv)
     nulls = None if adv is None else restrict_to_nulls(gen)
-    return _replication_values(_FdpTask(gen, adv, proc, alpha, nulls), cfg)
+    cuts = gen.law.cuts(alpha * np.arange(gen.n + 1.0) / gen.n) if adv is None else None
+    return _replication_values(_FdpTask(gen, adv, proc, alpha, nulls, cuts), cfg)
 
 
 def estimate_fdr(gen: GeneratorSpec, adv: Optional[AdversarySpec], proc: str,

@@ -30,6 +30,7 @@ __all__ = [
     "bh_step_up",
     "bh_step_down",
     "step_count",
+    "step_rule",
     "is_compliant",
     "simes_pvalue",
     "simes_sorted",
@@ -65,15 +66,25 @@ def step_count(sorted_p: np.ndarray, n: int, alpha: float, proc: str,
     """Row-wise rejection count of a step procedure on size-`n` studies whose
     `offset` smallest p-values pass (planted zeros; a scalar or one per row),
     whose next are the ascending rows of `sorted_p` and whose rest fail
-    (ones). Position j passes iff ``p_(j) <= alpha * j / n``; step-up takes
-    the last passing position, step-down the end of the leading run."""
-    m = sorted_p.shape[1]
+    (ones). Position j passes iff ``p_(j) <= alpha * j / n``; see
+    :func:`step_rule`."""
     offset = np.asarray(offset, dtype=np.int64)
-    ok = sorted_p <= alpha * (offset[..., None] + np.arange(1.0, m + 1)) / n
+    # No column past a row's count at or below its last threshold passes.
+    width = int(np.count_nonzero(
+        sorted_p <= (alpha * (offset + sorted_p.shape[1]) / n)[..., None], axis=1).max(initial=1))
+    ok = sorted_p[:, :width] <= alpha * (offset[..., None] + np.arange(1.0, width + 1)) / n
+    return offset + step_rule(ok, proc)
+
+
+def step_rule(ok: np.ndarray, proc: str) -> np.ndarray:
+    """Row-wise rejection count from a ``(rows, m)`` matrix of position tests
+    (later positions fail): step-up takes the last passing position,
+    step-down the end of the leading run."""
+    m = ok.shape[1]
     if proc == "step_up":
-        return offset + np.where(ok.any(axis=1), m - np.argmax(ok[:, ::-1], axis=1), 0)
+        return np.where(ok.any(axis=1), m - np.argmax(ok[:, ::-1], axis=1), 0)
     if proc == "step_down":
-        return offset + np.where(ok.all(axis=1), m, np.argmin(ok, axis=1))
+        return np.where(ok.all(axis=1), m, np.argmin(ok, axis=1))
     raise ValueError(f"unknown procedure {proc!r}")
 
 

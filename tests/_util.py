@@ -10,13 +10,29 @@ from itertools import combinations
 
 import numpy as np
 
-from fdrlink import (FixedZerosAdversary, InformedAdversary, MostAntiConservativeAdversary,
-                     PValueStudy, RejectionOutcome)
+from fdrlink import (BlockDependent, EquicorrelatedNormal, FixedZerosAdversary, IidUniform,
+                     InformedAdversary, MostAntiConservativeAdversary, PrdnGaussian,
+                     PValueStudy, RejectionOutcome, TwoSidedWrap)
 from fdrlink.mc import BLOCK_REPS, block_rng
 
 # Asymptotic Kolmogorov-Smirnov critical coefficient at the 1% level:
 # sqrt(-0.5 * ln(0.005)). Critical distance = KS_COEFF_1PCT / sqrt(n).
 KS_COEFF_1PCT = 1.6276236115189504
+
+# One spec of each generator kind and law, small enough for exhaustive checks.
+DRAW_SPECS = {
+    "iid": IidUniform(5, 3),
+    "equi-nonnull": EquicorrelatedNormal(150, 4, 0.3, mu_alt=1.5),
+    "equi-two-sided": EquicorrelatedNormal(5, 2, -0.1, "two"),
+    "prdn": PrdnGaussian(np.array([[1.0, 0.4, 0.2], [0.4, 1.0, 0.3], [0.2, 0.3, 1.0]]), (0, 2),
+                         np.array([0.0, 2.0, 0.0])),
+    "block-identical": BlockDependent((2, 1, 3), null_mask=[True, False, True, True, False,
+                                                            True]),
+    "block-equi-partial": BlockDependent((3, 2, 4, 1), "equicorrelated", 0.5,
+                                         [True, False, False, False, True, True, False,
+                                          True, True, False], 1.2),
+    "wrap-block": TwoSidedWrap(BlockDependent((2, 3), "equicorrelated", 0.6)),
+}
 
 
 def ks_distance_uniform(samples) -> float:

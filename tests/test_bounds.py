@@ -337,3 +337,9 @@ class TestReports:
             assert 0.0 <= row[6] <= 1.0
         with pytest.raises(ValueError):
             bounds_table(100, 60, 0.6, [])
+
+    @pytest.mark.parametrize("n, n0", [(10, 20), (10, 0), (59, 60)])
+    def test_bounds_table_needs_n_at_least_n0(self, n, n0):
+        # improvement_range refuses these counts; the table must too.
+        with pytest.raises(ValueError):
+            bounds_table(n, n0, 0.5, [0.1])

@@ -48,6 +48,7 @@ from fdrlink.dependence import sample_arrays
 from fdrlink.mc import BLOCK_REPS, block_rng
 
 from _util import (
+    DRAW_SPECS,
     KS_COEFF_1PCT,
     anchor_oracle,
     completed_fdp_oracle,
@@ -227,22 +228,7 @@ class TestLanes:
         assert counting_threads == [2]  # capped at the three blocks
 
 
-_DRAW_SPECS = {
-    "iid": IidUniform(5, 3),
-    "equi-nonnull": EquicorrelatedNormal(150, 4, 0.3, mu_alt=1.5),
-    "equi-two-sided": EquicorrelatedNormal(5, 2, -0.1, "two"),
-    "prdn": PrdnGaussian(np.array([[1.0, 0.4, 0.2], [0.4, 1.0, 0.3], [0.2, 0.3, 1.0]]), (0, 2),
-                         np.array([0.0, 2.0, 0.0])),
-    "block-identical": BlockDependent((2, 1, 3), null_mask=[True, False, True, True, False,
-                                                            True]),
-    "block-equi-partial": BlockDependent((3, 2, 4, 1), "equicorrelated", 0.5,
-                                         [True, False, False, False, True, True, False,
-                                          True, True, False], 1.2),
-    "wrap-block": TwoSidedWrap(BlockDependent((2, 3), "equicorrelated", 0.6)),
-}
-
-
-@pytest.mark.parametrize("spec", _DRAW_SPECS.values(), ids=_DRAW_SPECS.keys())
+@pytest.mark.parametrize("spec", DRAW_SPECS.values(), ids=DRAW_SPECS.keys())
 def test_row_draws_are_successive_one_row_draws(spec):
     rows = 9
     p, mask = spec.draw(np.random.default_rng(3), rows)
@@ -259,9 +245,9 @@ def test_row_draws_are_successive_one_row_draws(spec):
 
 
 @pytest.mark.parametrize("spec", [
-    *_DRAW_SPECS.values(),
+    *DRAW_SPECS.values(),
     BlockDependent((3,) * 13 + (1,), "equicorrelated", 0.5, np.arange(40) < 10, sided="two"),
-], ids=[*_DRAW_SPECS, "block-equi-mixed-two"])
+], ids=[*DRAW_SPECS, "block-equi-mixed-two"])
 def test_fdp_pass_and_simes_pass_read_the_same_nulls(spec):
     # With no planted zeros and every non-null at 1, step-up BH rejects only
     # nulls, and it rejects exactly when the nulls' Simes value is at most
@@ -290,7 +276,7 @@ def _single_draw_reference(spec, rng) -> np.ndarray:
 @pytest.mark.parametrize("label", ["iid", "equi-nonnull", "equi-two-sided", "prdn"])
 def test_one_row_draw_is_the_single_draw(label):
     # Block draws are checked against a per-block loop in test_dependence.
-    spec = _DRAW_SPECS[label]
+    spec = DRAW_SPECS[label]
     for seed in range(5):
         p, _ = sample_arrays(spec, np.random.default_rng(seed))
         assert np.array_equal(p, _single_draw_reference(spec, np.random.default_rng(seed)))

@@ -289,6 +289,42 @@ def _ulp_shift(x: float, k: int) -> float:
     return min(x, 1.0)
 
 
+def _full_width_count(sorted_p: np.ndarray, n: int, alpha: float, proc: str, offsets) -> list:
+    """The step count of each row from every column's test, one by one."""
+    counts = []
+    for row, off in zip(sorted_p.tolist(), offsets):
+        ok = [p <= alpha * (off + j) / n for j, p in enumerate(row, start=1)]
+        if proc == "step_up":
+            r = max((j for j, passes in enumerate(ok, start=1) if passes), default=0)
+        else:
+            r = next((j for j, passes in enumerate(ok) if not passes), len(ok))
+        counts.append(off + r)
+    return counts
+
+
+@pytest.mark.parametrize("proc", ["step_up", "step_down"])
+@pytest.mark.parametrize("alpha, n, m", [(0.05, 40, 30), (0.3, 12, 12), (0.6, 25, 9)])
+def test_step_count_matches_the_full_width_rule(proc, alpha, n, m):
+    # Rows of thresholds alpha * j / n one ulp either side or on the dot,
+    # zeros, ones and ties, under a scalar and a per-row offset.
+    rng = np.random.default_rng(int(alpha * 100) + m)
+    rows = 400
+    offsets = rng.integers(0, n - m + 1, rows)
+    j = rng.integers(1, n + 1, (rows, m))
+    p = np.minimum(alpha * j / n, 1.0)
+    shift = rng.integers(-1, 2, (rows, m))
+    p = np.where(shift > 0, np.nextafter(p, 2.0), np.where(shift < 0, np.nextafter(p, 0.0), p))
+    kind = rng.random((rows, m))
+    p = np.where(kind < 0.1, 0.0, np.where(kind > 0.9, 1.0, p))
+    p[:, 1::3] = p[:, :-1:3]  # ties
+    p = np.sort(np.minimum(p, 1.0), axis=1)
+    assert step_count(p, n, alpha, proc, offset=offsets).tolist() == \
+        _full_width_count(p, n, alpha, proc, offsets.tolist())
+    for off in (0, n - m):
+        assert step_count(p, n, alpha, proc, offset=off).tolist() == \
+            _full_width_count(p, n, alpha, proc, [off] * rows)
+
+
 class TestFdpUpperBound:
     def test_single_null_at_bonferroni_threshold(self):
         # ceil(n * (alpha/n) / alpha) = 1, so the bound is 1/1.
