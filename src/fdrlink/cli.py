@@ -91,9 +91,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if not args.n >= args.n0 >= 1:
-        raise ConfigError(f"need n >= n0 >= 1, got n={args.n}, n0={args.n0}")
-    pi0 = args.pi0 if args.pi0 is not None else args.n0 / args.n
+    # With n = 0, bounds_table's count check fails before pi0 is read.
+    pi0 = args.n0 / args.n if args.pi0 is None and args.n else args.pi0
     try:
         header, rows = bounds_table(args.n, args.n0, pi0, args.alpha, args.gamma)
     except ValueError as exc:

@@ -6,15 +6,15 @@ function of ``(spec, seed)``. A spec's ``scores(rng, rows)`` draws ``rows``
 studies at once as a row-major ``(rows, n)`` matrix of raw scores whose rows
 are consecutive in the generator's stream: the matrix equals ``rows``
 successive one-row draws, so splitting a draw into row chunks changes no
-value. ``draw`` maps the scores to p-values through the spec's one
-:class:`PValueLaw`, whose keys also decide ``p <= t`` without that map. A
-spec's ``nulls_only()`` is the spec of its null components alone; every
-null-only draw, in the Monte Carlo engine and in :func:`sample_null_pvalues`,
-is a ``draw`` of that spec. Null p-values are marginally Uniform(0, 1) under
-every Gaussian variant. Equicorrelated draws use the closed-form square
-root of the equicorrelation matrix (eigenvalues ``1 - rho`` and
-``1 + (n-1) * rho``), applied in O(n) per draw; a generic factorization is
-used only for arbitrary covariance matrices.
+value. A spec is also its own p-value law: ``pvalues`` maps the scores to
+p-values (``draw`` is that map of ``scores``), and ``keys`` and ``cuts``
+decide ``p <= t`` without it. A spec's ``nulls_only()`` is the spec of its
+null components alone; every null-only draw, in the Monte Carlo engine and
+in :func:`sample_null_pvalues`, is a ``draw`` of that spec. Null p-values
+are marginally Uniform(0, 1) under every Gaussian variant. Equicorrelated
+draws use the closed-form square root of the equicorrelation matrix
+(eigenvalues ``1 - rho`` and ``1 + (n-1) * rho``), applied in O(n) per draw;
+a generic factorization is used only for arbitrary covariance matrices.
 
 Each array input has one rule here: every covariance matrix passes
 :func:`check_covariance` (square, finite, symmetric) and every index set
@@ -32,8 +32,8 @@ uniform p-values never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "BlockDependent",
     "TwoSidedWrap",
     "GeneratorSpec",
-    "PValueLaw",
     "sample",
     "sample_arrays",
     "sample_null_pvalues",
@@ -115,60 +114,21 @@ def _check_sided(sided: str) -> None:
         raise ValueError(f"sided must be 'one' or 'two', got {sided!r}")
 
 
-def _pvalues_from_z(z: np.ndarray, sided: str) -> np.ndarray:
-    from scipy.special import ndtr
-    if sided == "one":
-        return ndtr(-z)
-    return 2.0 * ndtr(-np.abs(z))
-
-
 # The window of a Gaussian cut on the level q that ndtr meets: relative 1e-10
 # covers the errors of scipy's ndtr and ndtri (under 1e-12 down to q = 1e-308);
 # absolute 1e-15, the rounding of 1 - p where a fold meets a one-sided p > 1/2.
 _CUT_REL, _CUT_ABS = 1e-10, 1e-15
 
 
-@dataclass(frozen=True)
-class PValueLaw:
-    """A spec's map ``pvalues(raw)`` from raw scores to p-values, and keys
-    deciding ``p <= t`` without it: with ``(lo, hi) = cuts(t)``, keys at or
-    below `lo` pass and keys above `hi` fail. `score` is 'uniform' (keys are
-    the scores), 'normal' (keys ``-z``, cuts a widened ``ndtri``) or None (keys
-    are the p-values); two-sided keys fold the score against half the level."""
-
-    pvalues: Callable[[np.ndarray], np.ndarray]
-    score: Optional[str]
-    sided: str = "one"
-
-    def keys(self, raw: np.ndarray) -> np.ndarray:
-        if self.score is None:
-            return self.pvalues(raw)
-        if self.score == "uniform":
-            return raw if self.sided == "one" else np.minimum(raw, 1.0 - raw)
-        return -raw if self.sided == "one" else -np.abs(raw)
-
-    def cuts(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = t if self.score is None or self.sided == "one" else t / 2
-        if self.score != "normal":
-            return q, q
-        from scipy.special import ndtri
-        return (ndtri(np.maximum(q * (1.0 - _CUT_REL) - _CUT_ABS, 0.0)),
-                ndtri(np.minimum(q * (1.0 + _CUT_REL) + _CUT_ABS, 1.0)))
-
-    def folded(self) -> "PValueLaw":
-        """The law of these p-values' two-sided fold (keyless if two-sided)."""
-        return PValueLaw(lambda raw: two_sided_from_one_sided(self.pvalues(raw)),
-                         self.score if self.sided == "one" else None, "two")
-
-
-_UNIFORM = PValueLaw(lambda raw: raw, "uniform")
-_GAUSSIAN = {s: PValueLaw(lambda z, s=s: _pvalues_from_z(z, s), "normal", s)
-             for s in ("one", "two")}
-
-
 class _Spec:
-    """A generator spec: a draw is its law's p-values of its score draw. Its
-    scores are z-scores unless it says otherwise; it defines `n1` or `n`."""
+    """A generator spec and its own p-value law. Its scores are z-scores
+    unless `uniform` says they are uniforms, its p-values are `sided`, and
+    it defines `n1` or `n`. With ``(lo, hi) = cuts(t)``, keys at or below
+    `lo` pass ``p <= t`` and keys above `hi` fail it: uniforms key
+    themselves with exact cuts, z-scores key as ``-z`` against a widened
+    ``ndtri``, and two-sided keys fold the score against half the level."""
+
+    uniform = False
 
     @property
     def n(self) -> int:
@@ -178,14 +138,33 @@ class _Spec:
     def n1(self) -> int:
         return self.n - self.n0
 
-    @property
-    def law(self) -> PValueLaw:
-        return _GAUSSIAN[self.sided]
+    def pvalues(self, raw: np.ndarray) -> np.ndarray:
+        """The p-values of raw scores."""
+        if self.uniform:
+            return raw
+        return normal_cdf(-raw) if self.sided == "one" else 2.0 * normal_cdf(-np.abs(raw))
+
+    def keys(self, raw: np.ndarray) -> np.ndarray:
+        if self.uniform:
+            return raw if self.sided == "one" else np.minimum(raw, 1.0 - raw)
+        return -raw if self.sided == "one" else -np.abs(raw)
+
+    def cuts(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q = t if self.sided == "one" else t / 2
+        if self.uniform:
+            return q, q
+        return (normal_quantile(np.maximum(q * (1.0 - _CUT_REL) - _CUT_ABS, 0.0)),
+                normal_quantile(np.minimum(q * (1.0 + _CUT_REL) + _CUT_ABS, 1.0)))
 
     def draw(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
         """`rows` studies as a ``(rows, n)`` p-value matrix and the null mask."""
         raw, mask = self.scores(rng, rows)
-        return self.law.pvalues(raw), mask
+        return self.pvalues(raw), mask
+
+    def nulls_only(self):
+        """The generator of the null components alone: this spec with no
+        non-nulls (a spec without an `n1` field defines its own)."""
+        return self if self.n1 == 0 else replace(self, n1=0)
 
 
 def _equicorrelate(z: np.ndarray, rho: float) -> np.ndarray:
@@ -208,6 +187,15 @@ def _check_finite(name: str, x) -> None:
         raise ValueError(f"{name} must be finite and real, got {x!r}")
 
 
+def _check_rho(name: str, rho, size: int) -> None:
+    """The one equicorrelation rule: `rho` is finite, real, below 1 and, for
+    `size` >= 2, at or above ``-1/(size-1)`` (less 1e-15 of rounding)."""
+    _check_finite(name, rho)
+    floor = -1.0 / (size - 1) if size >= 2 else -math.inf
+    if not floor - 1e-15 <= rho < 1.0:
+        raise ValueError(f"{name} must be in [{floor}, 1) for size {size}, got {rho!r}")
+
+
 def _check_counts(n0, n1) -> None:
     check_count("n0", n0, 1)
     check_count("n1", n1, 0)
@@ -219,19 +207,14 @@ class IidUniform(_Spec):
 
     n0: int
     n1: int = 0
+    uniform, sided = True, "one"
 
     def __post_init__(self) -> None:
         _check_counts(self.n0, self.n1)
 
-    law = _UNIFORM
-
     def scores(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
         """`rows` studies as a ``(rows, n)`` score matrix and the null mask."""
         return rng.random((rows, self.n)), np.arange(self.n) < self.n0
-
-    def nulls_only(self) -> "IidUniform":
-        """The generator of the null components alone."""
-        return self if self.n1 == 0 else IidUniform(self.n0, 0)
 
 
 @dataclass(frozen=True)
@@ -252,15 +235,8 @@ class EquicorrelatedNormal(_Spec):
     def __post_init__(self) -> None:
         _check_counts(self.n0, self.n1)
         _check_sided(self.sided)
-        _check_finite("rho", self.rho)
+        _check_rho("rho", self.rho, self.n0)
         _check_finite("mu_alt", self.mu_alt)
-        if not self.rho < 1.0:
-            raise ValueError(f"rho must be < 1, got {self.rho}")
-        if self.n0 >= 2 and self.rho < -1.0 / (self.n0 - 1) - 1e-15:
-            raise ValueError(
-                f"rho={self.rho} below the admissible floor -1/(n0-1) = "
-                f"{-1.0 / (self.n0 - 1)}"
-            )
 
     def scores(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
         # Per row: the null normals, then the non-null ones.
@@ -268,10 +244,6 @@ class EquicorrelatedNormal(_Spec):
         _equicorrelate(z[:, :self.n0], self.rho)
         z[:, self.n0:] += self.mu_alt
         return z, np.arange(self.n) < self.n0
-
-    def nulls_only(self) -> "EquicorrelatedNormal":
-        return self if self.n1 == 0 else \
-            EquicorrelatedNormal(self.n0, 0, self.rho, self.sided, self.mu_alt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,8 +341,6 @@ class BlockDependent(_Spec):
         object.__setattr__(self, "block_sizes", sizes)
         _check_sided(self.sided)
         _check_finite("mu_alt", self.mu_alt)
-        if self.rho_w is not None:
-            _check_finite("rho_w", self.rho_w)
         if self.within not in ("identical", "equicorrelated"):
             raise ValueError("within must be 'identical' or 'equicorrelated'")
         if self.within == "identical" and (self.rho_w is not None or self.sided != "one"):
@@ -378,9 +348,7 @@ class BlockDependent(_Spec):
         if self.within == "equicorrelated":
             if self.rho_w is None:
                 raise ValueError("equicorrelated blocks need rho_w")
-            bmax = max(sizes)
-            if not self.rho_w < 1.0 or (bmax >= 2 and self.rho_w < -1.0 / (bmax - 1) - 1e-15):
-                raise ValueError(f"rho_w={self.rho_w} inadmissible for block size {bmax}")
+            _check_rho("rho_w", self.rho_w, max(sizes))
         n = sum(sizes)
         mask = np.ones(n, dtype=bool) if self.null_mask is None else \
             np.asarray(self.null_mask, dtype=bool)
@@ -407,8 +375,8 @@ class BlockDependent(_Spec):
         return int(np.count_nonzero(self.null_mask))
 
     @property
-    def law(self) -> PValueLaw:
-        return _UNIFORM if self.within == "identical" else _GAUSSIAN[self.sided]
+    def uniform(self) -> bool:
+        return self.within == "identical"
 
     def scores(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
         if self.within == "identical":
@@ -428,9 +396,16 @@ class BlockDependent(_Spec):
 
 @dataclass(frozen=True)
 class TwoSidedWrap(_Spec):
-    """Fold an inner one-sided generator through the two-sided transform."""
+    """Fold an inner one-sided generator through the two-sided transform;
+    an inner generator that is two-sided already is rejected."""
 
     inner: "GeneratorSpec"
+    sided = "two"
+
+    def __post_init__(self) -> None:
+        if self.inner.sided == "two":
+            raise ValueError("TwoSidedWrap folds one-sided p-values; its inner "
+                             "generator is two-sided already")
 
     @property
     def n(self) -> int:
@@ -441,8 +416,11 @@ class TwoSidedWrap(_Spec):
         return self.inner.n0
 
     @property
-    def law(self) -> PValueLaw:
-        return self.inner.law.folded()
+    def uniform(self) -> bool:
+        return self.inner.uniform
+
+    def pvalues(self, raw: np.ndarray) -> np.ndarray:
+        return two_sided_from_one_sided(self.inner.pvalues(raw))
 
     def scores(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
         return self.inner.scores(rng, rows)
@@ -476,11 +454,9 @@ def equicorrelated_sqrt(n: int, rho: float) -> np.ndarray:
     all-ones direction and ``1 - rho`` on its complement.
     """
     check_count("n", n, 1)
-    lead = 1.0 + (n - 1) * rho
-    if lead < -1e-12 or rho >= 1.0:
-        raise ValueError(f"rho={rho} inadmissible for n={n}")
+    _check_rho("rho", rho, n)
     a = math.sqrt(max(1.0 - rho, 0.0))
-    b = math.sqrt(max(lead, 0.0))
+    b = math.sqrt(max(1.0 + (n - 1) * rho, 0.0))
     mat = np.full((n, n), (b - a) / n)
     mat[np.diag_indices(n)] += a
     return mat
@@ -494,8 +470,8 @@ def sample_rows(spec: GeneratorSpec, rng: np.random.Generator,
 
 def sample_scores(spec: GeneratorSpec, rng: np.random.Generator,
                   rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw `rows` studies as raw scores (``spec.law`` maps them to p-values)
-    and the null mask."""
+    """Draw `rows` studies as raw scores (``spec.pvalues`` maps them to
+    p-values) and the null mask."""
     return spec.scores(rng, rows)
 
 

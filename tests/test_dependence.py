@@ -95,6 +95,17 @@ class TestEquicorrelatedSqrt:
         with pytest.raises(ValueError):
             equicorrelated_sqrt(5, -0.5)
 
+    @pytest.mark.parametrize("build", [
+        lambda size, rho: equicorrelated_sqrt(size, rho),
+        lambda size, rho: EquicorrelatedNormal(size, 0, rho),
+        lambda size, rho: BlockDependent((size,), "equicorrelated", rho),
+    ], ids=["sqrt", "equicorrelated", "block"])
+    def test_one_rho_rule(self, build):
+        # Below the floor -1/(size-1) by more than 1e-15 raises; within it builds.
+        with pytest.raises(ValueError, match="rho(_w)? must be"):
+            build(2, -1.0 - 1e-13)
+        build(1201, -1.0 / 1200 - 9e-16)
+
 
 class TestSpecValidation:
     def test_equicorrelated_floor(self):
@@ -138,7 +149,8 @@ class TestSpecValidation:
                                 mu_alt=np.nan), "mu_alt must be finite"),
         (lambda: PrdnGaussian(np.eye(4), (0, 1), np.array([0, 0, np.nan, 1.0])),
          "mu must be finite"),
-    ], ids=["equicorrelated", "block", "prdn"])
+        (lambda: PrdnGaussian(np.eye(2), (0,), np.zeros(3)), "mu must match"),
+    ], ids=["equicorrelated", "block", "prdn", "prdn-shape"])
     def test_nonfinite_means_rejected(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
@@ -485,6 +497,10 @@ class TestConditionalSlope:
     def test_two_by_two(self):
         sigma = np.array([[1.0, 0.35], [0.35, 1.0]])
         assert conditional_slope(sigma, 0) == pytest.approx([0.35])
+
+    def test_zero_variance_coordinate_rejected(self):
+        with pytest.raises(ValueError, match="zero variance"):
+            conditional_slope(np.diag([1.0, 0.0]), 1)
 
     def test_equicorrelated_nonnegative(self):
         for rho in (0.0, 0.3, 0.7):

@@ -1,5 +1,6 @@
 """Tests for the experiment runner, config handling, and the CLI."""
 
+import csv
 import errno
 import inspect
 import json
@@ -24,6 +25,7 @@ from fdrlink.experiments import (
     ConfigError,
     ExperimentConfig,
     OutputError,
+    PRESETS,
     UnknownPresetError,
     consistency_curve,
     curve_is_decreasing,
@@ -202,7 +204,52 @@ class TestConsistencyCurve:
             consistency_curve({"a": IidUniform(3, 0)}, (), McConfig(10, 0))
 
 
+# Each preset's files and CSV headers, and for a preset with a pass column,
+# the bound that column tests the estimate against.
+_PRESET_FILES = {
+    "E1": {"E1_prdn_envelope.csv": "alpha,fdr_mean,fdr_stderr,prdn_bound,pass"},
+    "E2": {"E2_tightness.csv": "alpha,effective_level,fdr_mean,fdr_stderr,limit_mean,"
+                               "limit_stderr,upper_bound,tightness_ratio"},
+    "E3": {"E3_bonferroni_masked.csv": "strategy,alpha,fdr_mean,fdr_stderr,envelope,pass"},
+    "E4": {"E4_improvement.csv": "n,n0,pi0,alpha,bound_new,bound_log,improved"},
+    "E5": {"E5_consistency.csv": "class,alpha,sup_fdr,sup_stderr,member,decreasing_flag",
+           "E5_consistency.tsv": "alpha\tequicorrelated_one_sided\tequicorrelated_two_sided"
+                                 "\tblock_b3\tvanishing_null_informed\tguo_rao_reference_n1e4",
+           "E5_consistency.svg": '<svg xmlns="http://www.w3.org/2000/svg" width="640" '
+                                 'height="400">'},
+    "E6": {"E6_linking.csv": "generator,adversary,alpha,fdr_mean,fdr_stderr,link_bound,"
+                             "slack,pass"},
+    "E7": {"E7_fdx.csv": "generator,alpha,gamma,fdx_mean,fdx_stderr,fdx_bound,pass"},
+    "E8": {"E8_structural.csv": "matrix,n,n0,prdn,prds,mtp2_feasible,signs"},
+}
+_PASS_BOUNDS = {"E1": "prdn_bound", "E3": "envelope", "E6": "link_bound", "E7": "fdx_bound"}
+
+
+def _run_preset(name: str, out: Path, workers=None) -> dict[str, bytes]:
+    cfg = ExperimentConfig(preset=name, reps=300, master_seed=7, out_dir=out, workers=workers)
+    return {path.name: path.read_bytes() for path in run(cfg)}
+
+
 class TestPresets:
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_every_preset_runs(self, tmp_path, name):
+        files = _run_preset(name, tmp_path)
+        assert {f: data.decode().splitlines()[0] for f, data in files.items()} == \
+            _PRESET_FILES[name]
+        fdp = "fdx" if name == "E7" else "fdr"
+        for row in csv.DictReader(files[next(iter(_PRESET_FILES[name]))].decode().splitlines()):
+            if name in _PASS_BOUNDS:
+                mean, stderr, bound = (float(row[key]) for key in
+                                       (f"{fdp}_mean", f"{fdp}_stderr", _PASS_BOUNDS[name]))
+                assert row["pass"] == ("true" if mean <= bound + 3 * stderr else "false")
+            if name == "E6":
+                assert float(row["slack"]) == float(row["link_bound"]) - float(row["fdr_mean"])
+            if name == "E2":
+                assert float(row["tightness_ratio"]) == \
+                    float(row["fdr_mean"]) / float(row["upper_bound"])
+        if name == "E2":  # the 1024-wide limit rows start lanes at workers=2
+            assert _run_preset(name, tmp_path / "w1", 1) == _run_preset(name, tmp_path / "w2", 2)
+
     def test_e4_runs_and_improves_everywhere(self, tmp_path):
         cfg = load_config({"schema": 1, "preset": "E4", "out_dir": str(tmp_path)}, env={})
         files = run(cfg)
@@ -275,6 +322,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("bound_name,")
         assert "fdx,100,60,0.59999999999999998,0.10000000000000001,0.25," in out
+
+    def test_bounds_out_file_holds_the_stdout_csv(self, tmp_path, capsys):
+        args = ["bounds", "--n", "100", "--n0", "60", "--alpha", "0.05", "0.1", "--gamma", "0.25"]
+        assert main(args) == 0
+        stdout = capsys.readouterr().out
+        target = tmp_path / "bounds.csv"
+        assert main([*args, "--out", str(target)]) == 0
+        assert capsys.readouterr().out == f"{target}\n"
+        assert target.read_bytes() == stdout.encode()
 
     def test_check_matrix(self, tmp_path, capsys):
         matrix = tmp_path / "m.txt"
@@ -390,9 +446,22 @@ class TestCli:
          "identical blocks take no rho_w"),
         ({"generator": {"type": "block", "block_sizes": [3, 3], "sided": "two"}},
          "identical blocks take no rho_w"),
+        ({"generator": {"type": "equicorrelated_normal", "n0": 3, "sided": "left"}},
+         "sided must be 'one' or 'two'"),
+        ({"generator": {"type": "block", "block_sizes": [3], "within": "nested"}},
+         "within must be"),
+        ({"generator": [{"type": "iid_uniform", "n0": 3}]}, "generator config must be an object"),
+        ({"alpha_grid": 0.1}, "alpha_grid must be a list"),
+        ({"generator": {"type": "two_sided_wrap", "inner": {
+            "type": "equicorrelated_normal", "n0": 3, "sided": "two"}}}, "two-sided already"),
+        ({"generator": {"type": "two_sided_wrap", "inner": {
+            "type": "two_sided_wrap", "inner": {"type": "iid_uniform", "n0": 3}}}},
+         "two-sided already"),
     ], ids=["procedure-bogus", "mac-without-zeros", "null_mask-ints", "out_dir-int",
             "name-with-dir", "zeros-above-n1", "masked-one-null", "block-no-nulls",
-            "prdn-without-sigma_file", "identical-with-rho_w", "identical-two-sided"])
+            "prdn-without-sigma_file", "identical-with-rho_w", "identical-two-sided",
+            "sided-left", "within-nested", "generator-list", "alpha_grid-number",
+            "fold-of-two-sided", "fold-of-fold"])
     def test_bad_custom_field_exit_code(self, tmp_path, capsys, changes, message):
         doc = {"schema": 1, "name": "tiny", "generator": {"type": "iid_uniform", "n0": 10},
                "adversary": {"type": "informed"}, "alpha_grid": [0.1], "reps": 10,
@@ -423,7 +492,8 @@ class TestCli:
         (b"\xff\xfe{\x00}\x00", "codec can't decode"),
         (b'{"schema": 1, "alpha_grid": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
          "recursion"),
-    ], ids=["directory", "utf-16", "deep-nesting"])
+        (b'[{"schema": 1, "preset": "E4"}]', "must be a JSON object"),
+    ], ids=["directory", "utf-16", "deep-nesting", "json-list"])
     def test_unreadable_config_exit_code(self, tmp_path, capsys, monkeypatch, content, message):
         monkeypatch.chdir(tmp_path)
         target = tmp_path / "cfg"

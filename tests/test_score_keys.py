@@ -1,4 +1,4 @@
-"""Exactness of the score-space FDP pass: a law's keys decide ``p <= t`` on
+"""Exactness of the score-space FDP pass: a spec's keys decide ``p <= t`` on
 the side its cuts claim, keys inside a window go through the p-values, and
 every spec's no-adversary FDPs equal those of the p-value path."""
 
@@ -10,23 +10,22 @@ from scipy.special import ndtri
 
 from fdrlink import (EquicorrelatedNormal, IidUniform, McConfig, McEstimate, PrdnGaussian,
                      PValueStudy, TwoSidedWrap, estimate_fdp_moment, estimate_fdx, fdp_values)
-from fdrlink.dependence import PValueLaw
 from fdrlink.mc import BLOCK_REPS, block_rng
 from fdrlink.procedures import step_count
 
 from _util import DRAW_SPECS, step_fdp_oracle
 
-_GAUSSIAN_LAWS = {
-    "one-sided": EquicorrelatedNormal(3).law,
-    "two-sided": EquicorrelatedNormal(3, sided="two").law,
-    "fold-of-one-sided": TwoSidedWrap(EquicorrelatedNormal(3)).law,
+_GAUSSIAN_SPECS = {
+    "one-sided": EquicorrelatedNormal(3),
+    "two-sided": EquicorrelatedNormal(3, sided="two"),
+    "fold-of-one-sided": TwoSidedWrap(EquicorrelatedNormal(3)),
 }
 
 
-def _raws(law: PValueLaw, keys: np.ndarray) -> list[np.ndarray]:
+def _raws(spec, keys: np.ndarray) -> list[np.ndarray]:
     """The z-scores with these keys: ``-key``, and ``key`` too where the
-    law keys ``-|z|``."""
-    return [-keys] if law.sided == "one" else [-keys, keys]
+    spec keys ``-|z|``."""
+    return [-keys] if spec.sided == "one" else [-keys, keys]
 
 
 def _thresholds() -> np.ndarray:
@@ -38,10 +37,10 @@ def _thresholds() -> np.ndarray:
     return np.unique(np.concatenate(levels))
 
 
-@pytest.mark.parametrize("law", _GAUSSIAN_LAWS.values(), ids=_GAUSSIAN_LAWS.keys())
-def test_gaussian_cuts_claim_the_right_side(law):
+@pytest.mark.parametrize("spec", _GAUSSIAN_SPECS.values(), ids=_GAUSSIAN_SPECS.keys())
+def test_gaussian_cuts_claim_the_right_side(spec):
     t = _thresholds()
-    lo, hi = law.cuts(t)
+    lo, hi = spec.cuts(t)
     assert np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))
     passing = [lo]
     failing = [np.nextafter(hi, np.inf)]
@@ -49,49 +48,47 @@ def test_gaussian_cuts_claim_the_right_side(law):
         passing.append(np.nextafter(passing[-1], -np.inf))
         failing.append(np.nextafter(failing[-1], np.inf))
     for keys in passing:
-        for raw in _raws(law, keys):
-            assert np.all(law.keys(raw) == keys) and np.all(law.pvalues(raw) <= t)
+        for raw in _raws(spec, keys):
+            assert np.all(spec.keys(raw) == keys) and np.all(spec.pvalues(raw) <= t)
     for keys in failing:
-        for raw in _raws(law, keys):
-            assert np.all(law.keys(raw) == keys) and np.all(law.pvalues(raw) > t)
+        for raw in _raws(spec, keys):
+            assert np.all(spec.keys(raw) == keys) and np.all(spec.pvalues(raw) > t)
 
 
-@pytest.mark.parametrize("law", [IidUniform(3).law, TwoSidedWrap(IidUniform(3)).law,
-                                 TwoSidedWrap(EquicorrelatedNormal(3, sided="two")).law],
-                         ids=["uniform", "fold-of-uniform", "fold-of-two-sided"])
-def test_exact_cuts_decide_every_key(law):
+@pytest.mark.parametrize("spec", [IidUniform(3), TwoSidedWrap(IidUniform(3))],
+                         ids=["uniform", "fold-of-uniform"])
+def test_exact_cuts_decide_every_key(spec):
     t = _thresholds()
-    lo, hi = law.cuts(t)
+    lo, hi = spec.cuts(t)
     assert lo is hi
-    if law.score is None:  # no monotone key: the p-values key themselves
-        raw = np.random.default_rng(5).standard_normal(4000)
-        assert np.array_equal(law.keys(raw), law.pvalues(raw))
-        return
     u = np.stack([t, t / 2, 1.0 - t / 2], axis=1)  # one row per threshold
     for shift in (-np.inf, np.inf):
         for _ in range(3):
             u = np.concatenate([u, np.nextafter(u, shift)], axis=1)
     u = np.clip(np.concatenate([u, np.zeros((len(t), 1)), np.ones((len(t), 1))], axis=1), 0, 1)
-    assert np.array_equal(law.keys(u) <= lo[:, None], law.pvalues(u) <= t[:, None])
+    assert np.array_equal(spec.keys(u) <= lo[:, None], spec.pvalues(u) <= t[:, None])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TwoSidedWrap(EquicorrelatedNormal(3, sided="two")),
+    lambda: TwoSidedWrap(TwoSidedWrap(IidUniform(3))),
+], ids=["two-sided-gaussian", "wrap-of-wrap"])
+def test_a_fold_takes_one_sided_pvalues_only(build):
+    with pytest.raises(ValueError, match="two-sided already"):
+        build()
 
 
 @dataclass(frozen=True)
 class _FixedScores(EquicorrelatedNormal):
-    """Every draw returns the rows of `z` in turn; the law records how many
-    rows it maps to p-values."""
+    """Every draw returns the rows of `z` in turn; `mapped` records how many
+    rows the spec maps to p-values."""
 
     z: tuple = ()
     mapped: list = field(default_factory=list, compare=False)
 
-    @property
-    def law(self) -> PValueLaw:
-        base = super().law
-
-        def pvalues(raw):
-            self.mapped.append(len(raw))
-            return base.pvalues(raw)
-
-        return PValueLaw(pvalues, base.score, base.sided)
+    def pvalues(self, raw):
+        self.mapped.append(len(raw))
+        return super().pvalues(raw)
 
     def scores(self, rng, rows):
         z = np.array(self.z)
@@ -122,7 +119,7 @@ def test_keys_inside_a_window_take_the_pvalue_path(sided, fold, proc):
     spec = TwoSidedWrap(inner) if fold else inner
     values = fdp_values(spec, None, proc, alpha, McConfig(len(z), 4))
     assert sum(inner.mapped) == len(z)  # every row went through the p-values
-    p = spec.law.pvalues(z)
+    p = spec.pvalues(z)
     mask = np.arange(n) < inner.n0
     assert values.tolist() == [float(step_fdp_oracle(PValueStudy(row, mask), alpha, proc))
                                for row in p]
@@ -146,7 +143,6 @@ _SPECS = {
     "prdn-two-sided": PrdnGaussian(np.array([[1.0, 0.5], [0.5, 1.0]]), (0,),
                                    np.array([0.0, 1.5]), "two"),
     "fold-of-uniform": TwoSidedWrap(IidUniform(6, 4)),
-    "fold-of-two-sided": TwoSidedWrap(EquicorrelatedNormal(6, 3, 0.2, "two")),
     "equi-wide": EquicorrelatedNormal(300, 500, 0.5),
 }
 
