@@ -28,13 +28,14 @@ specs = {
     "equicorrelated (rho=0.4)": EquicorrelatedNormal(6, 2, 0.4),
     "negative equicorrelated": EquicorrelatedNormal(6, 2, -1.0 / 5),
     "identical blocks of 3": BlockDependent((3, 3, 2)),
-    "two-sided fold": TwoSidedWrap(EquicorrelatedNormal(6, 2, 0.4)),
+    # TwoSidedWrap returns its inner spec with sided="two": the same scores.
+    "two-sided (rho=0.4)": TwoSidedWrap(EquicorrelatedNormal(6, 2, 0.4)),
 }
 for label, spec in specs.items():
     study = sample(spec, 2024)
     print(f"{label:28s} nulls={np.round(study.null_pvalues, 3)}")
 
-# The two-sided fold maps one-sided p-values through 2*min(p, 1-p).
+# Two-sided uniforms fold one-sided p-values through 2*min(p, 1-p).
 print(f"\nfold: 0.30 -> {two_sided_from_one_sided(0.3)}, "
       f"0.80 -> {two_sided_from_one_sided(0.8)}")
 

@@ -8,17 +8,20 @@ are consecutive in the generator's stream: the matrix equals ``rows``
 successive one-row draws, so splitting a draw into row chunks changes no
 value. A spec is also its own p-value law: ``pvalues`` maps the scores to
 p-values (``draw`` is that map of ``scores``), and ``keys`` and ``cuts``
-decide ``p <= t`` without it. A spec's ``nulls_only()`` is the spec of its
-null components alone; every null-only draw, in the Monte Carlo engine and
-in :func:`sample_null_pvalues`, is a ``draw`` of that spec. Null p-values
+decide ``p <= t`` without it. Every spec has a field ``sided``, and
+:func:`TwoSidedWrap` returns its inner spec two-sided. A spec's
+``nulls_only()`` is the spec of its null components alone; every null-only
+draw, in the Monte Carlo engine and in :func:`sample_null_pvalues`, is a
+``draw`` of that spec. Null p-values
 are marginally Uniform(0, 1) under every Gaussian variant. Equicorrelated
 draws use the closed-form square root of the equicorrelation matrix
 (eigenvalues ``1 - rho`` and ``1 + (n-1) * rho``), applied in O(n) per draw;
 a generic factorization is used only for arbitrary covariance matrices.
 
 Each array input has one rule here: every covariance matrix passes
-:func:`check_covariance` (square, finite, symmetric) and every index set
-:func:`check_index_set` (non-empty, distinct plain integers, in range).
+:func:`check_covariance` (square, finite, symmetric), every index set
+:func:`check_index_set` (non-empty, distinct plain integers, in range) and
+every null mask ``study.check_null_mask`` (booleans, one per p-value).
 :func:`structural_checks` is the one report of the positive-dependence
 checks on a covariance: PRDN, PRDS and the two-sided sign assignment.
 
@@ -37,7 +40,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .study import PValueStudy, check_count, is_int, is_real
+from .study import PValueStudy, check_count, check_null_mask, is_int, is_real
 
 __all__ = [
     "IidUniform",
@@ -114,15 +117,15 @@ def _check_sided(sided: str) -> None:
         raise ValueError(f"sided must be 'one' or 'two', got {sided!r}")
 
 
-# The window of a Gaussian cut on the level q that ndtr meets: relative 1e-10
-# covers the errors of scipy's ndtr and ndtri (under 1e-12 down to q = 1e-308);
-# absolute 1e-15, the rounding of 1 - p where a fold meets a one-sided p > 1/2.
-_CUT_REL, _CUT_ABS = 1e-10, 1e-15
+# The relative window of a Gaussian cut on the level q that ndtr meets: 1e-10
+# covers the errors of scipy's ndtr and ndtri (under 1e-12 down to q = 1e-308).
+_CUT_REL = 1e-10
 
 
 class _Spec:
     """A generator spec and its own p-value law. Its scores are z-scores
-    unless `uniform` says they are uniforms, its p-values are `sided`, and
+    unless `uniform` says they are uniforms, its p-values are `sided`
+    (two-sided: ``2 * Phi(-|z|)``, or the fold ``2 * min(u, 1 - u)``), and
     it defines `n1` or `n`. With ``(lo, hi) = cuts(t)``, keys at or below
     `lo` pass ``p <= t`` and keys above `hi` fail it: uniforms key
     themselves with exact cuts, z-scores key as ``-z`` against a widened
@@ -141,7 +144,7 @@ class _Spec:
     def pvalues(self, raw: np.ndarray) -> np.ndarray:
         """The p-values of raw scores."""
         if self.uniform:
-            return raw
+            return raw if self.sided == "one" else two_sided_from_one_sided(raw)
         return normal_cdf(-raw) if self.sided == "one" else 2.0 * normal_cdf(-np.abs(raw))
 
     def keys(self, raw: np.ndarray) -> np.ndarray:
@@ -153,8 +156,8 @@ class _Spec:
         q = t if self.sided == "one" else t / 2
         if self.uniform:
             return q, q
-        return (normal_quantile(np.maximum(q * (1.0 - _CUT_REL) - _CUT_ABS, 0.0)),
-                normal_quantile(np.minimum(q * (1.0 + _CUT_REL) + _CUT_ABS, 1.0)))
+        return (normal_quantile(q * (1.0 - _CUT_REL)),
+                normal_quantile(np.minimum(q * (1.0 + _CUT_REL), 1.0)))
 
     def draw(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
         """`rows` studies as a ``(rows, n)`` p-value matrix and the null mask."""
@@ -203,14 +206,17 @@ def _check_counts(n0, n1) -> None:
 
 @dataclass(frozen=True)
 class IidUniform(_Spec):
-    """All p-values iid Uniform(0, 1); the first `n0` are the nulls."""
+    """All p-values iid Uniform(0, 1), one-sided or folded two-sided; the
+    first `n0` are the nulls."""
 
     n0: int
     n1: int = 0
-    uniform, sided = True, "one"
+    sided: str = "one"
+    uniform = True
 
     def __post_init__(self) -> None:
         _check_counts(self.n0, self.n1)
+        _check_sided(self.sided)
 
     def scores(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
         """`rows` studies as a ``(rows, n)`` score matrix and the null mask."""
@@ -313,9 +319,9 @@ class BlockDependent(_Spec):
     ``within='identical'`` gives every member of a block the same uniform
     draw (the most adversarial exchangeable choice); ``'equicorrelated'``
     uses a `rho_w`-equicorrelated Gaussian inside each block, with non-null
-    members shifted by `mu_alt` before the one- or two-sided transform.
-    Identical blocks take no `rho_w` and are one-sided; they carry no
-    shift, so `mu_alt` goes unused.
+    members shifted by `mu_alt`. Either kind is one- or two-sided by
+    `sided`. Identical blocks take no `rho_w`; they carry no shift, so
+    `mu_alt` goes unused. `null_mask` passes :func:`check_null_mask`.
 
     A draw takes every block's randomness from one generator call, in block
     order, which reproduces a draw block by block: one uniform per block, or
@@ -343,18 +349,16 @@ class BlockDependent(_Spec):
         _check_finite("mu_alt", self.mu_alt)
         if self.within not in ("identical", "equicorrelated"):
             raise ValueError("within must be 'identical' or 'equicorrelated'")
-        if self.within == "identical" and (self.rho_w is not None or self.sided != "one"):
-            raise ValueError("identical blocks take no rho_w and are one-sided")
+        if self.within == "identical" and self.rho_w is not None:
+            raise ValueError("identical blocks take no rho_w")
         if self.within == "equicorrelated":
             if self.rho_w is None:
                 raise ValueError("equicorrelated blocks need rho_w")
             _check_rho("rho_w", self.rho_w, max(sizes))
         n = sum(sizes)
-        mask = np.ones(n, dtype=bool) if self.null_mask is None else \
-            np.asarray(self.null_mask, dtype=bool)
-        if mask.shape != (n,):
-            raise ValueError("null mask must match the total block length")
-        object.__setattr__(self, "null_mask", _readonly(mask))
+        mask = check_null_mask(np.ones(n, dtype=bool) if self.null_mask is None
+                               else self.null_mask, n)
+        object.__setattr__(self, "null_mask", mask)
         # One (blocks, size) position matrix per block size above 1.
         size_arr = np.array(sizes)
         starts = np.cumsum(size_arr) - size_arr
@@ -394,43 +398,16 @@ class BlockDependent(_Spec):
         return self._nulls
 
 
-@dataclass(frozen=True)
-class TwoSidedWrap(_Spec):
-    """Fold an inner one-sided generator through the two-sided transform;
-    an inner generator that is two-sided already is rejected."""
-
-    inner: "GeneratorSpec"
-    sided = "two"
-
-    def __post_init__(self) -> None:
-        if self.inner.sided == "two":
-            raise ValueError("TwoSidedWrap folds one-sided p-values; its inner "
-                             "generator is two-sided already")
-
-    @property
-    def n(self) -> int:
-        return self.inner.n
-
-    @property
-    def n0(self) -> int:
-        return self.inner.n0
-
-    @property
-    def uniform(self) -> bool:
-        return self.inner.uniform
-
-    def pvalues(self, raw: np.ndarray) -> np.ndarray:
-        return two_sided_from_one_sided(self.inner.pvalues(raw))
-
-    def scores(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.inner.scores(rng, rows)
-
-    def nulls_only(self) -> "TwoSidedWrap":
-        return TwoSidedWrap(self.inner.nulls_only())
+GeneratorSpec = Union[IidUniform, EquicorrelatedNormal, PrdnGaussian, BlockDependent]
 
 
-GeneratorSpec = Union[IidUniform, EquicorrelatedNormal, PrdnGaussian,
-                      BlockDependent, TwoSidedWrap]
+def TwoSidedWrap(inner: GeneratorSpec) -> GeneratorSpec:
+    """`inner` with two-sided p-values: the same spec and scores with
+    ``sided="two"``. An inner spec that is two-sided already is rejected."""
+    if inner.sided == "two":
+        raise ValueError("TwoSidedWrap folds one-sided p-values; its inner "
+                         "generator is two-sided already")
+    return replace(inner, sided="two")
 
 
 def _times_rows(root: np.ndarray, z: np.ndarray) -> np.ndarray:

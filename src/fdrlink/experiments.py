@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
@@ -211,8 +212,9 @@ def load_matrix(path) -> np.ndarray:
 # Config parsing
 # ---------------------------------------------------------------------------
 
-# A config node's ``type`` names a spec class; its other keys are that
-# class's constructor arguments (see _config_keys), checked by the class.
+# A config node's ``type`` names a spec constructor (a spec class, or
+# TwoSidedWrap, which returns its inner spec two-sided); its other keys are
+# the constructor's arguments (see _config_keys), checked by it.
 _GENERATORS = {
     "iid_uniform": IidUniform,
     "equicorrelated_normal": EquicorrelatedNormal,
@@ -232,7 +234,7 @@ def _config_keys(cls) -> set[str]:
     """The keys besides ``type`` of a config node of class `cls`: its
     constructor's arguments, except that a PrdnGaussian reads `sigma` from
     ``sigma_file`` and keeps its mean `mu` at zero."""
-    keys = {f.name for f in fields(cls) if f.init}
+    keys = set(inspect.signature(cls).parameters)
     return keys - {"sigma", "mu"} | {"sigma_file"} if cls is PrdnGaussian else keys
 
 
@@ -247,15 +249,11 @@ def _spec_from_config(node, registry: Mapping[str, type], what: str):
     extra = set(args) - _config_keys(cls)
     if extra:
         raise ConfigError(f"unknown {what} keys {sorted(extra)} for type {kind!r}")
-    mask = args.get("null_mask")
-    if mask is not None and not (isinstance(mask, list)
-                                 and all(isinstance(v, bool) for v in mask)):
-        raise ConfigError(f"null_mask must be a list of booleans, got {mask!r}")
     if cls is PrdnGaussian:
         if "sigma_file" not in args:
             raise ConfigError(f"{what} type {kind!r} needs a sigma_file")
         args["sigma"] = load_matrix(args.pop("sigma_file"))
-    if cls is TwoSidedWrap and "inner" in args:
+    if "inner" in args:  # two_sided_wrap's generator
         args["inner"] = _spec_from_config(args["inner"], registry, what)
     try:
         return cls(**args)
@@ -263,8 +261,6 @@ def _spec_from_config(node, registry: Mapping[str, type], what: str):
         raise ConfigError(f"invalid {what} config: {exc}") from exc
 
 
-_TOP_KEYS = {"schema", "preset", "name", "generator", "adversary", "procedure",
-             "alpha_grid", "gamma_grid", "reps", "master_seed", "out_dir", "workers"}
 # The fields that describe a custom experiment; a preset fixes its own.
 _CUSTOM_KEYS = ("generator", "adversary", "procedure", "alpha_grid", "gamma_grid")
 
@@ -325,6 +321,10 @@ class ExperimentConfig:
 
     def mc(self) -> McConfig:
         return McConfig(reps=self.reps, master_seed=self.master_seed, workers=self.workers)
+
+
+# A config document's keys: the config's fields and its schema version.
+_TOP_KEYS = {f.name for f in fields(ExperimentConfig)} | {"schema"}
 
 
 def load_config(source, *, env: Optional[Mapping[str, str]] = None,

@@ -150,7 +150,10 @@ class McEstimate:
     stderr: float
     reps: int
     master_seed: int
-    stderr_degenerate: bool = False
+
+    @property
+    def stderr_degenerate(self) -> bool:
+        return self.reps == 1
 
     @classmethod
     def from_values(cls, values: np.ndarray, cfg: "McConfig") -> "McEstimate":
@@ -159,7 +162,7 @@ class McEstimate:
         reps = len(items)
         mean = math.fsum(items) / reps
         if reps == 1:
-            return cls(mean, 0.0, reps, cfg.master_seed, stderr_degenerate=True)
+            return cls(mean, 0.0, reps, cfg.master_seed)
         var = math.fsum((v - mean) ** 2 for v in items) / (reps - 1)
         return cls(mean, math.sqrt(var / reps), reps, cfg.master_seed)
 
@@ -170,7 +173,11 @@ class LinkingReport:
 
     lhs: McEstimate
     rhs: float
-    slack: float
+
+    @property
+    def slack(self) -> float:
+        """Bound minus estimate."""
+        return self.rhs - self.lhs.mean
 
 
 # A task turns `count` consecutive rows of a block's generator into one value
@@ -379,4 +386,4 @@ def verify_linking(gen: GeneratorSpec, adv: Optional[AdversarySpec], alpha: floa
     lhs = estimate_fdr(gen, adv, "step_up", alpha, cfg)
     curve = estimate_fdr0_curve(restrict_to_nulls(gen), cfg)
     rhs = fdr_link_bound(gen.n0 / gen.n, alpha, curve)
-    return LinkingReport(lhs=lhs, rhs=rhs, slack=rhs - lhs.mean)
+    return LinkingReport(lhs=lhs, rhs=rhs)

@@ -3,7 +3,8 @@
 Both types are immutable after construction (frozen dataclasses over
 read-only numpy arrays) and therefore safe to share across threads. The
 one p-value vector rule, :func:`check_pvalues`, serves studies, the empirical
-null-FDR curve, and the procedures' and adversaries' null inputs.
+null-FDR curve, and the procedures' and adversaries' null inputs; the one
+null-mask rule, :func:`check_null_mask`, serves studies and block specs.
 """
 
 from __future__ import annotations
@@ -57,6 +58,18 @@ def check_pvalues(values, what: str = "p-values", positive: bool = False,
     return arr
 
 
+def check_null_mask(mask, n: int, name: str = "null_mask") -> np.ndarray:
+    """A read-only copy of `mask`, once it is a 1-D boolean vector of length
+    `n`: the one rule for null masks, so that no ``1``, ``0.5`` or
+    ``"False"`` is coerced to a bool."""
+    arr = np.array(mask)
+    if arr.dtype != bool or arr.shape != (n,):
+        raise ValueError(f"{name} must be a 1-D boolean vector of length {n}, "
+                         f"got dtype {arr.dtype} and shape {arr.shape}")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class PValueStudy:
     """A vector of p-values together with a mask marking the true nulls."""
@@ -66,13 +79,8 @@ class PValueStudy:
 
     def __init__(self, pvalues, null_mask) -> None:
         pvalues = check_pvalues(pvalues)
-        mask = np.array(null_mask, dtype=bool)
-        if mask.shape != pvalues.shape:
-            raise ValueError(f"null mask of shape {mask.shape} does not match "
-                             f"{pvalues.size} p-values")
-        mask.setflags(write=False)
         object.__setattr__(self, "pvalues", pvalues)
-        object.__setattr__(self, "null_mask", mask)
+        object.__setattr__(self, "null_mask", check_null_mask(null_mask, pvalues.size))
 
     @classmethod
     def global_null(cls, pvalues) -> "PValueStudy":

@@ -52,6 +52,13 @@ class TestCurves:
         for pi0, alpha in ((1.0, 0.05), (0.5, 0.2), (0.1, 0.9)):
             assert fdr_link_bound(pi0, alpha, WorstCaseCurve()) == pytest.approx(1.0)
 
+    def test_worst_case_tail_integral_matches_quadrature(self):
+        curve = WorstCaseCurve()
+        assert [curve.value(x) for x in (1e-9, 0.5, 1.0)] == [1.0, 1.0, 1.0]
+        for a in (0.01, 0.2, 0.9):
+            assert curve.tail_integral(a) == pytest.approx(quad_tail_integral(curve, a),
+                                                           rel=1e-10)
+
     def test_linear_one_closed_form(self):
         expected = 0.05 + 0.05 * math.log(20.0)
         assert fdr_link_bound(1.0, 0.05, LinearCurve(1.0)) == pytest.approx(expected, rel=1e-15)

@@ -37,6 +37,10 @@ with contextlib.redirect_stdout(io.StringIO()):
 from fdrlink import IidUniform, InformedAdversary, McConfig, estimate_fdr
 estimate_fdr(IidUniform(20, 80), InformedAdversary(), "step_up", 0.1, McConfig(300, 1))
 step("iid estimate")
+two_sided = IidUniform(20, 80, sided="two")
+estimate_fdr(two_sided, None, "step_up", 0.1, McConfig(300, 1))
+estimate_fdr(two_sided, InformedAdversary(), "step_up", 0.1, McConfig(300, 1))
+step("two-sided iid estimates")
 import numpy as np
 from fdrlink import EquicorrelatedNormal
 EquicorrelatedNormal(5, 0, 0.3).draw(np.random.default_rng(0), 2)
@@ -56,7 +60,7 @@ def test_scipy_loads_only_on_the_first_gaussian_draw(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "import": False, "run E4": False, "bounds": False, "check": False,
-        "iid estimate": False, "equicorrelated draw": True,
+        "iid estimate": False, "two-sided iid estimates": False, "equicorrelated draw": True,
     }
 
 

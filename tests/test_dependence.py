@@ -138,7 +138,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BlockDependent((3,), null_mask=[True, False])
 
-    @pytest.mark.parametrize("kwargs", [dict(rho_w=0.5), dict(sided="two")])
+    @pytest.mark.parametrize("kwargs", [dict(rho_w=0.5)])
     def test_identical_blocks_reject_what_they_ignore(self, kwargs):
         with pytest.raises(ValueError, match="identical blocks"):
             BlockDependent((3, 3), **kwargs)
@@ -322,8 +322,7 @@ class TestRestrictToNulls:
         mask = np.array([True, False, True, True, False])
         blk = restrict_to_nulls(BlockDependent((2, 3), null_mask=mask))
         assert blk.block_sizes == (1, 2) and blk.n0 == 3
-        wrapped = restrict_to_nulls(TwoSidedWrap(IidUniform(4, 2)))
-        assert wrapped.inner == IidUniform(4, 0)
+        assert restrict_to_nulls(TwoSidedWrap(IidUniform(4, 2))) == IidUniform(4, 0, "two")
 
     def test_block_null_spec_is_built_once(self):
         for mask in (np.arange(12) < 5, None):
@@ -345,6 +344,31 @@ class TestTwoSidedTransform:
         with pytest.raises(ValueError):
             two_sided_from_one_sided(np.nan)
         assert two_sided_from_one_sided(np.array([])).size == 0
+
+    def test_gaussian_wrap_is_exact_in_the_tails(self):
+        z = np.array([-9.0, -6.0, -3.0, 3.0, 6.0, 9.0])
+        wrapped = TwoSidedWrap(EquicorrelatedNormal(3)).pvalues(z)
+        assert wrapped.tobytes() == EquicorrelatedNormal(3, sided="two").pvalues(z).tobytes()
+        assert wrapped[0] == 2.0 * normal_cdf(-9.0) > 0.0
+
+    @pytest.mark.parametrize("spec", [
+        IidUniform(4, 3),
+        EquicorrelatedNormal(4, 3, 0.3),
+        PrdnGaussian(np.array([[1.0, 0.4, 0.0], [0.4, 1.0, 0.2], [0.0, 0.2, 1.0]]), (0, 2),
+                     np.array([0.0, 1.5, 0.0])),
+        BlockDependent((2, 3), null_mask=np.arange(5) < 3),
+        BlockDependent((2, 3), "equicorrelated", 0.5, np.arange(5) < 3),
+    ], ids=["iid", "equicorrelated", "prdn", "block-identical", "block-equicorrelated"])
+    def test_a_wrap_is_its_inner_spec_two_sided(self, spec):
+        wrapped = TwoSidedWrap(spec)
+        assert type(wrapped) is type(spec) and wrapped.sided == "two"
+        assert restrict_to_nulls(wrapped).sided == "two"
+        raw, mask = wrapped.scores(np.random.default_rng(8), 50)
+        inner_raw, inner_mask = spec.scores(np.random.default_rng(8), 50)
+        assert raw.tobytes() == inner_raw.tobytes() and np.array_equal(mask, inner_mask)
+        expected = two_sided_from_one_sided(raw) if spec.uniform else \
+            2.0 * normal_cdf(-np.abs(raw))
+        assert wrapped.pvalues(raw).tobytes() == expected.tobytes()
 
     def test_uniform_to_uniform(self):
         rng = np.random.default_rng(26)

@@ -69,7 +69,8 @@ class TestConfigParsing:
         assert _config_keys(cls) == params
 
     def test_every_spec_class_has_a_config_type(self):
-        assert set(_GENERATORS.values()) == set(typing.get_args(GeneratorSpec))
+        # two_sided_wrap builds a spec of its inner type.
+        assert set(_GENERATORS.values()) - {TwoSidedWrap} == set(typing.get_args(GeneratorSpec))
         assert set(_ADVERSARIES.values()) == set(typing.get_args(AdversarySpec))
 
     def test_preset_takes_no_custom_fields(self):
@@ -101,7 +102,7 @@ class TestConfigParsing:
             "reps": 50,
         }
         cfg = load_config(doc, env={})
-        assert isinstance(cfg.generator, TwoSidedWrap)
+        assert type(cfg.generator) is EquicorrelatedNormal and cfg.generator.sided == "two"
         assert cfg.generator.n == 8
         assert cfg.adversary.zeros == 1
 
@@ -184,6 +185,14 @@ class TestConsistencyCurve:
         for row in rows:
             assert row["sup_fdr"] <= 2.0 * row["alpha"] + 3.0 * row["sup_stderr"]
         assert curve_is_decreasing(rows)
+
+    def test_a_rise_beyond_three_stderrs_is_not_decreasing(self):
+        def rows(fdr_at_small_alpha):
+            return [dict(alpha=0.2, sup_fdr=0.10, sup_stderr=0.01),
+                    dict(alpha=0.05, sup_fdr=fdr_at_small_alpha, sup_stderr=0.01)]
+
+        assert curve_is_decreasing(rows(0.14))  # within 3 * hypot(0.01, 0.01)
+        assert not curve_is_decreasing(rows(0.15))
 
     def test_block_class_stays_below_block_size_times_alpha(self):
         members = {"m=20": BlockDependent((3,) * 20), "m=8": BlockDependent((3,) * 8)}
@@ -444,8 +453,6 @@ class TestCli:
          "generator type 'prdn_gaussian' needs a sigma_file"),
         ({"generator": {"type": "block", "block_sizes": [3, 3], "rho_w": 0.5}},
          "identical blocks take no rho_w"),
-        ({"generator": {"type": "block", "block_sizes": [3, 3], "sided": "two"}},
-         "identical blocks take no rho_w"),
         ({"generator": {"type": "equicorrelated_normal", "n0": 3, "sided": "left"}},
          "sided must be 'one' or 'two'"),
         ({"generator": {"type": "block", "block_sizes": [3], "within": "nested"}},
@@ -459,7 +466,7 @@ class TestCli:
          "two-sided already"),
     ], ids=["procedure-bogus", "mac-without-zeros", "null_mask-ints", "out_dir-int",
             "name-with-dir", "zeros-above-n1", "masked-one-null", "block-no-nulls",
-            "prdn-without-sigma_file", "identical-with-rho_w", "identical-two-sided",
+            "prdn-without-sigma_file", "identical-with-rho_w",
             "sided-left", "within-nested", "generator-list", "alpha_grid-number",
             "fold-of-two-sided", "fold-of-fold"])
     def test_bad_custom_field_exit_code(self, tmp_path, capsys, changes, message):

@@ -125,6 +125,7 @@ class TestSeeding:
     def test_reps_one_degenerate_stderr(self):
         est = estimate_fdr(IidUniform(5, 0), None, "step_up", 0.2, McConfig(1, 3))
         assert est.stderr == 0.0 and est.stderr_degenerate
+        assert not McEstimate(0.5, 0.1, 2, 3).stderr_degenerate
 
     def test_stderr_sums_python_float_squares(self):
         # A 0/1 vector (the shape of FDX values) on which numpy's d * d and
@@ -354,9 +355,6 @@ class _FixedNulls(IidUniform):
     def draw(self, rng, rows) -> tuple[np.ndarray, np.ndarray]:
         return np.tile(self.nulls + (1.0,) * self.n1, (rows, 1)), np.arange(self.n) < self.n0
 
-    def nulls_only(self) -> "_FixedNulls":
-        return _FixedNulls(self.n0, 0, self.nulls)
-
 
 @pytest.mark.filterwarnings("error")
 class TestZeroNulls:
@@ -373,7 +371,7 @@ class TestZeroNulls:
 
     @pytest.mark.parametrize("nulls", [(0.0, 0.5, 0.7), (0.0, 0.0, 0.5)])
     def test_one_replication(self, nulls):
-        gen, alpha, cfg = _FixedNulls(len(nulls), 7, nulls), 0.1, McConfig(1, 0)
+        gen, alpha, cfg = _FixedNulls(len(nulls), 7, nulls=nulls), 0.1, McConfig(1, 0)
         # The informed construction realizes the ceiling of 1 ...
         assert fdp_values(gen, InformedAdversary(), "step_up", alpha, cfg).tolist() == [1.0]
         assert fdp_values(gen, InformedAdversary(), "most_anti_conservative", alpha,

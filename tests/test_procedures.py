@@ -8,6 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from fdrlink import (
+    BlockDependent,
     PValueStudy,
     RejectionOutcome,
     bh_step_down,
@@ -18,7 +19,7 @@ from fdrlink import (
     simes_pvalue,
     simes_rejects,
 )
-from fdrlink.procedures import step_count, threshold_ceil
+from fdrlink.procedures import step_count, step_rule, threshold_ceil
 
 from _util import (
     brute_force_max_fdp,
@@ -40,6 +41,19 @@ class TestStudyTypes:
             PValueStudy([0.5], [True, False])
         with pytest.raises(ValueError):
             PValueStudy([], [])
+
+    @pytest.mark.parametrize("build", [
+        lambda: PValueStudy([0.1, 0.2], ["False", "True"]),
+        lambda: PValueStudy([0.1, 0.2, 0.3], [1, 2, 0.5]),
+        lambda: BlockDependent((3,), null_mask=[1, 0, 5]),
+    ], ids=["strings", "numbers", "block-ints"])
+    def test_a_null_mask_is_booleans_only(self, build):
+        with pytest.raises(ValueError, match="null_mask must be a 1-D boolean vector"):
+            build()
+
+    def test_a_null_mask_takes_python_or_numpy_bools(self):
+        assert PValueStudy([0.1, 0.2], [np.True_, False]).null_mask.tolist() == [True, False]
+        assert BlockDependent((2, 1), null_mask=np.array([True, False, True])).n0 == 2
 
     def test_study_counts(self):
         s = PValueStudy([0.1, 0.2, 0.3], [True, False, True])
@@ -404,3 +418,8 @@ def test_permutation_invariance(pvals, mask_bits, perm_seed, alpha):
         nz = study.null_pvalues
         if np.all(nz > 0):
             assert fdp_upper_bound(nz, n, alpha) == fdp_upper_bound(shuffled.null_pvalues, n, alpha)
+
+
+def test_step_rule_rejects_an_unknown_procedure():
+    with pytest.raises(ValueError, match="unknown procedure 'bonferroni'"):
+        step_rule(np.ones((2, 3), dtype=bool), "bonferroni")
