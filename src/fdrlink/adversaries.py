@@ -115,7 +115,14 @@ def anchor_choice(nulls_sorted: np.ndarray, n: int, alpha: float,
 
 @dataclass(frozen=True)
 class InformedAdversary:
-    """Sees all null p-values; plants zeros to reach the FDP ceiling."""
+    """Sees all null p-values; plants zeros to reach the FDP ceiling.
+
+    Under step-up, with ``(rank, ceiling)`` from :func:`anchor_choice`, the
+    FDP of the completed study is the anchor ratio ``rank / max(ceiling,
+    rank)`` whenever the ``ceiling - rank`` zeros fit in `n1`; the Monte
+    Carlo engine takes it so and plants and counts only the rows whose zero
+    count clips to `n1`.
+    """
 
     def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> np.ndarray:
         """Zero count (int64) per row of a ``(rows, n0)`` matrix of ascending
@@ -126,7 +133,14 @@ class InformedAdversary:
 
 @dataclass(frozen=True)
 class MostAntiConservativeAdversary:
-    """Plants exactly the zeros the most anti-conservative outcome rejects."""
+    """Plants exactly the zeros the most anti-conservative outcome rejects.
+
+    Its zeros never clip, so under step-up the FDP of the completed study is
+    always the anchor ratio ``rank / max(ceiling, rank, 1)`` of the
+    `n1`-restricted :func:`anchor_choice` (0 where no rank is feasible), the
+    most anti-conservative procedure's FDP; the Monte Carlo engine takes it
+    so, without planting or counting.
+    """
 
     def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> np.ndarray:
         rank, ceiling = anchor_choice(nulls_sorted, n, alpha, n1)

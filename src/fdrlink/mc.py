@@ -33,10 +33,15 @@ the adversaries, ``anchor_choice`` with ``n = 1``.
 Pipeline for FDR-type targets, row-wise over a chunk of replications. With
 an adversary: sample the rows of the null spec ``restrict_to_nulls(gen)``
 (the Simes curve pass draws them too), plant the zeros and run the step
-count on the sorted nulls with the zeros as a rank offset. Without one, the
-generator is its own p-value law: the sorted keys of its scores meet its
-cuts at ``alpha * j / n``, and the null keys the cut at R; a row with a key
-inside a cut's window takes the p-value path (its p-values, sorted, through
+count on the sorted nulls with the zeros as a rank offset. Step-up against
+the informed or most-anti-conservative adversary skips both: its FDP is the
+anchor ratio ``rank / max(ceiling, rank)`` of ``anchor_choice`` (restricted
+to `n1` for the most-anti-conservative one, as for that procedure), and
+only informed rows whose zero count clips (``ceiling - rank > n1``) plant
+`n1` zeros and count. Without an adversary, the generator is its own
+p-value law: the sorted keys of its scores meet its cuts at
+``alpha * j / n``, and the null keys the cut at R; a row with a key inside
+a cut's window takes the p-value path (its p-values, sorted, through
 ``step_count``), so Gaussian rows call ``ndtr`` only there and every count
 is the p-values'.
 Rank, zero count, step rule and Simes value are the row-wise kernels of
@@ -47,8 +52,7 @@ from __future__ import annotations
 
 import math
 import os
-# ProcessPoolExecutor is unused here; bench/spans.py wraps the name to count pools.
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -94,6 +98,16 @@ _CHUNK_VALUES = 1 << 16
 # again depends on what the process allocated before (mc-iid benchmark:
 # 120k-250k minor faults a pass, against about 2k).
 _HEAP_HINT_VALUES = 4 * _CHUNK_VALUES
+
+
+def __getattr__(name: str):
+    # ProcessPoolExecutor is unused here; bench/spans.py wraps the name to
+    # count pools. It is imported on first access only, because importing it
+    # loads multiprocessing, which no run needs.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -224,12 +238,28 @@ class _FdpTask:
         nulls_sorted = sample_rows(self.nulls, rng, count)[0]
         nulls_sorted.sort(axis=1)
         n1 = self.gen.n1
-        if self.proc == "most_anti_conservative":
+        informed = self.proc == "step_up" and isinstance(self.adv, InformedAdversary)
+        if informed:
+            rank, ceiling = anchor_choice(nulls_sorted, n, alpha)
+        elif self.proc == "most_anti_conservative" or (
+                self.proc == "step_up" and isinstance(self.adv, MostAntiConservativeAdversary)):
             rank, ceiling = anchor_choice(nulls_sorted, n, alpha, n1)
-            return rank / np.maximum(np.maximum(ceiling, rank), 1)
-        zeros = self.adv.plant(nulls_sorted, n1, n, alpha)
-        r = step_count(nulls_sorted, n, alpha, self.proc, offset=zeros)
-        return (r - zeros) / np.maximum(r, 1)
+        else:
+            zeros = self.adv.plant(nulls_sorted, n1, n, alpha)
+            r = step_count(nulls_sorted, n, alpha, self.proc, offset=zeros)
+            return (r - zeros) / np.maximum(r, 1)
+        # With z = ceiling - rank <= n1 zeros planted, step-up rejects them and
+        # the V smallest nulls, V the last rank j with c_j - j <= z (so V >=
+        # rank and c_V <= z + V): rank / ceiling <= V / (z + V) <= V / c_V <=
+        # rank / ceiling, so its FDP is the anchor ratio. With ceiling < rank
+        # no zero is planted and every rejection is a null's.
+        fdp = rank / np.maximum(np.maximum(ceiling, rank), 1)
+        if informed:  # where plant clips the zero count to n1: plant n1, count
+            clipped = np.flatnonzero(ceiling - rank > n1)
+            if len(clipped):
+                r = step_count(nulls_sorted[clipped], n, alpha, "step_up", offset=n1)
+                fdp[clipped] = (r - n1) / np.maximum(r, 1)
+        return fdp
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ import fdrlink.mc as mc
 from fdrlink.adversaries import anchor_choice
 from fdrlink.dependence import sample_arrays
 from fdrlink.mc import BLOCK_REPS, block_rng
+from fdrlink.procedures import step_count
 
 from _util import (
     DRAW_SPECS,
@@ -347,13 +348,72 @@ class TestFastPathConsistency:
 
 @dataclass(frozen=True)
 class _FixedNulls(IidUniform):
-    """Generator stub whose every draw returns the same nulls, and ones for
-    the non-nulls."""
+    """Generator stub whose draws return the rows of `nulls` in turn (one
+    row, or a tuple of rows), and ones for the non-nulls."""
 
     nulls: tuple = ()
 
     def draw(self, rng, rows) -> tuple[np.ndarray, np.ndarray]:
-        return np.tile(self.nulls + (1.0,) * self.n1, (rows, 1)), np.arange(self.n) < self.n0
+        p = np.resize(np.array(self.nulls, ndmin=2), (rows, self.n0))
+        return np.hstack([p, np.ones((rows, self.n1))]), np.arange(self.n) < self.n0
+
+
+def _plant_and_count(adv, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> np.ndarray:
+    """Step-up FDP per row the long way: the adversary's zeros, then the count."""
+    zeros = adv.plant(nulls_sorted, n1, n, alpha)
+    r = step_count(nulls_sorted, n, alpha, "step_up", offset=zeros)
+    return (r - zeros) / np.maximum(r, 1)
+
+
+def _crafted_rows(n0: int, n: int, alpha: float, rng, rows: int = 200) -> np.ndarray:
+    """Ascending null rows mixing zeros, levels ``alpha * c / n`` with the
+    floats either side of them, and uniforms; a quarter are one value tied."""
+    at = rng.choice(alpha * np.arange(1.0, n + 1) / n, (rows, n0))
+    kinds = [np.zeros_like(at), at, np.nextafter(at, 0.0), np.nextafter(at, 1.0),
+             rng.random((rows, n0))]
+    p = np.choose(rng.integers(len(kinds), size=(rows, n0)), kinds)
+    p[: rows // 4] = p[: rows // 4, :1]
+    return np.sort(p, axis=1)
+
+
+_ANCHOR_SOURCES = {**DRAW_SPECS, "iid-clipping": IidUniform(30, 1), "crafted": None}
+
+
+@pytest.mark.parametrize("source", _ANCHOR_SOURCES.keys())
+def test_step_up_fdp_is_the_anchor_ratio(source):
+    """Step-up FDPs against the informed and most-anti-conservative
+    adversaries, which the engine takes from the anchor ratio, equal
+    planting the zeros and counting, bit for bit, clipped rows included."""
+    spec = _ANCHOR_SOURCES[source]
+    advs = (InformedAdversary(), MostAntiConservativeAdversary())
+    rng = np.random.default_rng(11)
+    clipped = 0
+    for n1 in (0, 1, 3, 400):
+        for alpha in (0.01, 0.05, 0.2, 0.5):
+            if spec is None:
+                rows = _crafted_rows(8, 8 + n1, alpha, rng)
+            else:
+                rows = np.sort(restrict_to_nulls(spec).draw(rng, 200)[0], axis=1)
+            gen = _FixedNulls(rows.shape[1], n1, nulls=tuple(map(tuple, rows)))
+            for adv in advs:
+                values = fdp_values(gen, adv, "step_up", alpha, McConfig(len(rows), 0))
+                assert values.tobytes() == _plant_and_count(adv, rows, n1, gen.n, alpha).tobytes()
+            rank, ceiling = anchor_choice(rows, gen.n, alpha)
+            clipped += np.count_nonzero(ceiling - rank > n1)
+    assert clipped > 0
+    if spec is None:
+        return
+    cfg = McConfig(600, 5)  # the spec itself, over three blocks
+    for alpha in (0.05, 0.2):
+        for adv in advs:
+            expected = []
+            for block in range(-(-cfg.reps // BLOCK_REPS)):
+                count = min(BLOCK_REPS, cfg.reps - block * BLOCK_REPS)
+                rows = restrict_to_nulls(spec).draw(block_rng(cfg.master_seed, block), count)[0]
+                expected.append(_plant_and_count(adv, np.sort(rows, axis=1), spec.n1, spec.n,
+                                                 alpha))
+            values = fdp_values(spec, adv, "step_up", alpha, cfg)
+            assert values.tobytes() == np.concatenate(expected).tobytes()
 
 
 @pytest.mark.filterwarnings("error")
