@@ -19,7 +19,7 @@ permuting hypotheses, so the layout is a convention only.
 
 Ranks come from one row-wise kernel, :func:`anchor_choice`: per row of
 ascending nulls, a float argmax of ``j / c_j`` with ``c_j`` the smallest
-``c >= 1`` for which ``p_(j) <= alpha * c / n``, refined in exact rational
+``c >= 1`` for which ``p_(j) <= alpha * c / n``, refined in exact integer
 arithmetic only on rows with float-tied candidates, ties to the largest rank.
 A one-pass float envelope ``(alpha / n) * j / p_(j)`` screens the columns, so
 ``c_j`` is worked out only where the row maximum can be. The worst-case
@@ -31,7 +31,6 @@ int64 per row; the scalar functions here are one-row calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
@@ -102,10 +101,15 @@ def anchor_choice(nulls_sorted: np.ndarray, n: int, alpha: float,
     pick = np.zeros(rows, dtype=np.intp)
     np.maximum.at(pick, near_rows, near)
     # The float ratios are within an ulp of the exact ones, so the exact
-    # maximum is always near; only a row with a float tie pays for Fractions.
+    # maximum is always near; only a row with a float tie is refined, by
+    # cross-multiplying the integer counts (Python ints, exact), and only a
+    # strictly larger ratio displaces a larger rank.
     for r in np.flatnonzero(np.bincount(near_rows, minlength=rows) > 1).tolist():
-        pick[r] = max(reversed(near[near_rows == r].tolist()),
-                      key=lambda i: Fraction(int(cand_ranks[i]), int(ceils[i])))
+        top = pick[r]
+        for i in reversed(near[near_rows == r].tolist()):
+            if int(cand_ranks[i]) * int(ceils[top]) > int(cand_ranks[top]) * int(ceils[i]):
+                top = i
+        pick[r] = top
     found = best > 0.0
     rank_out, ceil_out = np.zeros((2, rows), dtype=np.int64)
     rank_out[found] = cand_ranks[pick[found]]

@@ -15,10 +15,10 @@ unwritable output path, 1 unexpected failure.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .bounds import bounds_table
 from .dependence import check_index_set, structural_checks
@@ -33,6 +33,9 @@ from .experiments import (
     _render_csv,
 )
 
+if TYPE_CHECKING:
+    import argparse
+
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
 EXIT_BAD_CONFIG = 2
@@ -41,6 +44,8 @@ EXIT_UNWRITABLE = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(prog="fdrlink",
                                      description="FDR-under-dependence simulation lab")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -34,6 +34,7 @@ uniform p-values never loads it.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
@@ -403,10 +404,19 @@ GeneratorSpec = Union[IidUniform, EquicorrelatedNormal, PrdnGaussian, BlockDepen
 
 def TwoSidedWrap(inner: GeneratorSpec) -> GeneratorSpec:
     """`inner` with two-sided p-values: the same spec and scores with
-    ``sided="two"``. An inner spec that is two-sided already is rejected."""
+    ``sided="two"``. An inner spec that is two-sided already is rejected. A
+    :class:`PrdnGaussian` keeps its factors, so wrapping one costs no
+    ``eigh``."""
     if inner.sided == "two":
         raise ValueError("TwoSidedWrap folds one-sided p-values; its inner "
                          "generator is two-sided already")
+    if isinstance(inner, PrdnGaussian):  # replace() would run eigh again
+        spec = copy.copy(inner)
+        nulls = spec if inner._nulls is inner else copy.copy(inner._nulls)
+        for part in (spec, nulls):
+            object.__setattr__(part, "sided", "two")
+            object.__setattr__(part, "_nulls", nulls)
+        return spec
     return replace(inner, sided="two")
 
 

@@ -25,10 +25,8 @@ whole preset succeeds. E5 adds tab-separated series and an SVG line chart.
 from __future__ import annotations
 
 import contextlib
-import csv
 import inspect
 import io
-import json
 import math
 import os
 import tempfile
@@ -110,6 +108,8 @@ def format_value(x) -> str:
 
 
 def _render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)
@@ -341,6 +341,8 @@ def load_config(source, *, env: Optional[Mapping[str, str]] = None,
     if isinstance(source, Mapping):
         doc = dict(source)
     else:
+        import json
+
         try:
             text = Path(source).read_text()
         except (OSError, TypeError, UnicodeDecodeError) as exc:

@@ -22,7 +22,8 @@ wider than 256 values, where a block spans more than one row chunk, run in
 at most ``workers`` lanes (default: one per available CPU) and at most one
 per block; each lane holds about one row chunk and its temporaries in
 flight. Narrower rows, single-block runs and ``workers=1`` stay in the
-calling thread.
+calling thread. The thread-pool machinery (``concurrent.futures``) is
+imported when a run starts its first lanes, not with this module.
 
 A row of the worst-case limit constant draws a fixed budget of
 standard-exponential values (see :func:`estimate_worst_fdr_limit`); a row
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -332,6 +332,8 @@ def _replication_values(task, cfg: McConfig) -> np.ndarray:
     jobs = [(task, cfg.master_seed, cfg.reps, a, b) for a, b in zip(edges[:-1], edges[1:])]
     if lanes == 1:
         return _block_values(*jobs[0])
+    from concurrent.futures import ThreadPoolExecutor
+
     # This thread runs the first range while the others run the rest.
     with ThreadPoolExecutor(max_workers=lanes - 1) as pool:
         rest = [pool.submit(_block_values, *job) for job in jobs[1:]]

@@ -19,12 +19,14 @@ Numerical conventions
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .study import PValueStudy, RejectionOutcome, check_count, check_open_unit, check_pvalues
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "bh_step_up",
@@ -150,6 +152,8 @@ def fdp_upper_bound(null_pvalues: Sequence[float], n: int, alpha: float) -> Frac
     p-values, as an exact rational. A zero null p-value makes the bound 1:
     rejecting it alone already realizes FDP = 1, matching the limit p -> 0+.
     """
+    from fractions import Fraction
+
     from .adversaries import anchor_choice  # adversaries builds on this module
 
     alpha = check_open_unit("alpha", alpha)

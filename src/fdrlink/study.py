@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["PValueStudy", "RejectionOutcome"]
 
@@ -135,6 +137,8 @@ class RejectionOutcome:
     fdp: Fraction
 
     def __init__(self, rejected: Iterable[int], n_false: int) -> None:
+        from fractions import Fraction
+
         rejected_set = frozenset(_as_index(i, "a rejected index") for i in rejected)
         n_rejected = len(rejected_set)
         n_false = _as_index(n_false, "false rejection count")

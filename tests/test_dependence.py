@@ -29,6 +29,7 @@ from fdrlink import (
     two_sided_from_one_sided,
     vanishing_null_family,
 )
+from fdrlink import dependence
 from fdrlink.dependence import _equicorrelate, sample_arrays
 
 from _util import KS_COEFF_1PCT, ks_distance_uniform
@@ -369,6 +370,23 @@ class TestTwoSidedTransform:
         expected = two_sided_from_one_sided(raw) if spec.uniform else \
             2.0 * normal_cdf(-np.abs(raw))
         assert wrapped.pvalues(raw).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("null_idx", [(0, 2), (0, 1, 2)], ids=["mixed", "all-null"])
+    def test_a_prdn_wrap_carries_its_factors(self, monkeypatch, null_idx):
+        sigma = np.array([[1.0, 0.4, 0.0], [0.4, 1.0, 0.2], [0.0, 0.2, 1.0]])
+        mu = np.array([0.0, 1.5, 0.0]) if len(null_idx) < 3 else None
+        spec = PrdnGaussian(sigma, null_idx, mu)
+        calls = []
+        real = dependence._psd_sqrt
+        monkeypatch.setattr(dependence, "_psd_sqrt", lambda m: calls.append(m) or real(m))
+        wrapped = TwoSidedWrap(spec)
+        assert calls == [] and spec.sided == "one"
+        built = PrdnGaussian(sigma, null_idx, mu, sided="two")
+        for got, want in [(wrapped, built), (restrict_to_nulls(wrapped), restrict_to_nulls(built))]:
+            assert got.sided == "two" and restrict_to_nulls(got).sided == "two"
+            p, mask = got.draw(np.random.default_rng(5), 40)
+            expected, expected_mask = want.draw(np.random.default_rng(5), 40)
+            assert p.tobytes() == expected.tobytes() and np.array_equal(mask, expected_mask)
 
     def test_uniform_to_uniform(self):
         rng = np.random.default_rng(26)

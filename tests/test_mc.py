@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo engine: reproducibility, fast-path consistency,
 and the envelope properties of the estimates."""
 
+import concurrent.futures
 import math
 import multiprocessing.process
 import os
@@ -179,13 +180,14 @@ class TestLanes:
     def counting_threads(self, monkeypatch):
         started = []
 
-        class CountingThreads(mc.ThreadPoolExecutor):
+        class CountingThreads(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
                 started.append(kwargs["max_workers"])
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", CountingThreads)
+        # mc imports the pool class from here when a run starts lanes.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingThreads)
         return started
 
     @pytest.mark.parametrize("kind", ["none-wide", "informed-300", "simes-300", "limit"])
