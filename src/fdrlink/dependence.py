@@ -6,9 +6,11 @@ function of ``(spec, seed)``. A spec's ``scores(rng, rows)`` draws ``rows``
 studies at once as a row-major ``(rows, n)`` matrix of raw scores whose rows
 are consecutive in the generator's stream: the matrix equals ``rows``
 successive one-row draws, so splitting a draw into row chunks changes no
-value. A spec is also its own p-value law: ``pvalues`` maps the scores to
-p-values (``draw`` is that map of ``scores``), and ``keys`` and ``cuts``
-decide ``p <= t`` without it. Every spec has a field ``sided``, and
+value. Which coordinates are nulls is a fact of the spec, not of a draw:
+every spec has a ``null_mask`` and a draw is its matrix alone. A spec is
+also its own p-value law: ``pvalues`` maps the scores to p-values (``draw``
+is that map of ``scores``) as the level of their ``keys``, and ``keys`` and
+``cuts`` decide ``p <= t`` without it. Every spec has a field ``sided``, and
 :func:`TwoSidedWrap` returns its inner spec two-sided. A spec's
 ``nulls_only()`` is the spec of its null components alone; every null-only
 draw, in the Monte Carlo engine and in :func:`sample_null_pvalues`, is a
@@ -51,7 +53,6 @@ __all__ = [
     "TwoSidedWrap",
     "GeneratorSpec",
     "sample",
-    "sample_arrays",
     "sample_null_pvalues",
     "sample_rows",
     "sample_scores",
@@ -127,7 +128,8 @@ class _Spec:
     """A generator spec and its own p-value law. Its scores are z-scores
     unless `uniform` says they are uniforms, its p-values are `sided`
     (two-sided: ``2 * Phi(-|z|)``, or the fold ``2 * min(u, 1 - u)``), and
-    it defines `n1` or `n`. With ``(lo, hi) = cuts(t)``, keys at or below
+    it defines `n1` or `n`; its nulls are the first `n0` coordinates unless
+    it defines `null_mask`. With ``(lo, hi) = cuts(t)``, keys at or below
     `lo` pass ``p <= t`` and keys above `hi` fail it: uniforms key
     themselves with exact cuts, z-scores key as ``-z`` against a widened
     ``ndtri``, and two-sided keys fold the score against half the level."""
@@ -142,11 +144,16 @@ class _Spec:
     def n1(self) -> int:
         return self.n - self.n0
 
+    @property
+    def null_mask(self) -> np.ndarray:
+        """A fresh bool vector marking the nulls: the first `n0`."""
+        return np.arange(self.n) < self.n0
+
     def pvalues(self, raw: np.ndarray) -> np.ndarray:
-        """The p-values of raw scores."""
-        if self.uniform:
-            return raw if self.sided == "one" else two_sided_from_one_sided(raw)
-        return normal_cdf(-raw) if self.sided == "one" else 2.0 * normal_cdf(-np.abs(raw))
+        """The p-values of raw scores: the level of their keys (``Phi`` of a
+        z-score's key), doubled when two-sided."""
+        p = self.keys(raw) if self.uniform else normal_cdf(self.keys(raw))
+        return p if self.sided == "one" else 2.0 * p
 
     def keys(self, raw: np.ndarray) -> np.ndarray:
         if self.uniform:
@@ -160,10 +167,9 @@ class _Spec:
         return (normal_quantile(q * (1.0 - _CUT_REL)),
                 normal_quantile(np.minimum(q * (1.0 + _CUT_REL), 1.0)))
 
-    def draw(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """`rows` studies as a ``(rows, n)`` p-value matrix and the null mask."""
-        raw, mask = self.scores(rng, rows)
-        return self.pvalues(raw), mask
+    def draw(self, rng: np.random.Generator, rows: int) -> np.ndarray:
+        """`rows` studies as a ``(rows, n)`` p-value matrix."""
+        return self.pvalues(self.scores(rng, rows))
 
     def nulls_only(self):
         """The generator of the null components alone: this spec with no
@@ -219,9 +225,9 @@ class IidUniform(_Spec):
         _check_counts(self.n0, self.n1)
         _check_sided(self.sided)
 
-    def scores(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """`rows` studies as a ``(rows, n)`` score matrix and the null mask."""
-        return rng.random((rows, self.n)), np.arange(self.n) < self.n0
+    def scores(self, rng: np.random.Generator, rows: int) -> np.ndarray:
+        """`rows` studies as a ``(rows, n)`` score matrix."""
+        return rng.random((rows, self.n))
 
 
 @dataclass(frozen=True)
@@ -245,12 +251,12 @@ class EquicorrelatedNormal(_Spec):
         _check_rho("rho", self.rho, self.n0)
         _check_finite("mu_alt", self.mu_alt)
 
-    def scores(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    def scores(self, rng: np.random.Generator, rows: int) -> np.ndarray:
         # Per row: the null normals, then the non-null ones.
         z = rng.standard_normal((rows, self.n))
         _equicorrelate(z[:, :self.n0], self.rho)
         z[:, self.n0:] += self.mu_alt
-        return z, np.arange(self.n) < self.n0
+        return z
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,7 +264,7 @@ class PrdnGaussian(_Spec):
     """Gaussian p-values with an explicit covariance and null index set.
 
     `sigma` must be symmetric positive semidefinite with unit diagonal; the
-    mean must vanish on the nulls.
+    mean must vanish on the nulls, which the read-only `null_mask` marks.
 
     Size limit: construction factors `sigma` and its null block densely with
     ``eigh``, O(d^3) time for dimension d, and the instance keeps both
@@ -273,6 +279,8 @@ class PrdnGaussian(_Spec):
     null_idx: tuple[int, ...]
     mu: Optional[np.ndarray] = None
     sided: str = "one"
+    # The default shadows _Spec's prefix property until __post_init__ sets it.
+    null_mask: np.ndarray = field(init=False, repr=False, default=None)
     _sqrt: np.ndarray = field(init=False, repr=False)
     _nulls: "PrdnGaussian" = field(init=False, repr=False)
 
@@ -293,6 +301,7 @@ class PrdnGaussian(_Spec):
         object.__setattr__(self, "sigma", _readonly(sigma))
         object.__setattr__(self, "null_idx", idx)
         object.__setattr__(self, "mu", _readonly(mu))
+        object.__setattr__(self, "null_mask", _readonly(np.isin(np.arange(dim), idx)))
         object.__setattr__(self, "_sqrt", _readonly(_psd_sqrt(sigma)))
         object.__setattr__(self, "_nulls", self if len(idx) == dim else PrdnGaussian(
             sigma[np.ix_(idx, idx)], tuple(range(len(idx))), None, self.sided))
@@ -305,9 +314,8 @@ class PrdnGaussian(_Spec):
     def n0(self) -> int:
         return len(self.null_idx)
 
-    def scores(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        z = self.mu + _times_rows(self._sqrt, rng.standard_normal((rows, self.n)))
-        return z, np.isin(np.arange(self.n), self.null_idx)
+    def scores(self, rng: np.random.Generator, rows: int) -> np.ndarray:
+        return self.mu + _times_rows(self._sqrt, rng.standard_normal((rows, self.n)))
 
     def nulls_only(self) -> "PrdnGaussian":
         return self._nulls
@@ -383,15 +391,13 @@ class BlockDependent(_Spec):
     def uniform(self) -> bool:
         return self.within == "identical"
 
-    def scores(self, rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    def scores(self, rng: np.random.Generator, rows: int) -> np.ndarray:
         if self.within == "identical":
-            raw = np.repeat(rng.random((rows, len(self.block_sizes))), self.block_sizes, axis=1)
-        else:
-            z = rng.standard_normal((rows, self.n))
-            for idx in self._groups:
-                z[:, idx] = _equicorrelate(z[:, idx], self.rho_w)
-            raw = z + np.where(self.null_mask, 0.0, self.mu_alt)
-        return raw, self.null_mask.copy()
+            return np.repeat(rng.random((rows, len(self.block_sizes))), self.block_sizes, axis=1)
+        z = rng.standard_normal((rows, self.n))
+        for idx in self._groups:
+            z[:, idx] = _equicorrelate(z[:, idx], self.rho_w)
+        return z + np.where(self.null_mask, 0.0, self.mu_alt)
 
     def nulls_only(self) -> "BlockDependent":
         if self._nulls is None:
@@ -449,28 +455,21 @@ def equicorrelated_sqrt(n: int, rho: float) -> np.ndarray:
     return mat
 
 
-def sample_rows(spec: GeneratorSpec, rng: np.random.Generator,
-                rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw `rows` studies: a ``(rows, n)`` p-value matrix and the null mask."""
+def sample_rows(spec: GeneratorSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """Draw `rows` studies as a ``(rows, n)`` p-value matrix; ``spec.null_mask``
+    marks its nulls."""
     return spec.draw(rng, rows)
 
 
-def sample_scores(spec: GeneratorSpec, rng: np.random.Generator,
-                  rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw `rows` studies as raw scores (``spec.pvalues`` maps them to
-    p-values) and the null mask."""
+def sample_scores(spec: GeneratorSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """Draw `rows` studies as a ``(rows, n)`` matrix of raw scores
+    (``spec.pvalues`` maps them to p-values)."""
     return spec.scores(rng, rows)
-
-
-def sample_arrays(spec: GeneratorSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one study as raw arrays ``(pvalues, null_mask)``."""
-    p, mask = spec.draw(rng, 1)
-    return p[0], mask
 
 
 def sample_null_pvalues(spec: GeneratorSpec, rng: np.random.Generator) -> np.ndarray:
     """Draw only the null p-values of `spec`: one study of its null spec."""
-    return restrict_to_nulls(spec).draw(rng, 1)[0][0]
+    return restrict_to_nulls(spec).draw(rng, 1)[0]
 
 
 def sample(spec: GeneratorSpec, seed: int) -> PValueStudy:
@@ -478,7 +477,7 @@ def sample(spec: GeneratorSpec, seed: int) -> PValueStudy:
     integer is a seed; it is taken modulo 2**64."""
     if not is_int(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    return PValueStudy(*sample_arrays(spec, np.random.default_rng(seed & _SEED_MASK)))
+    return PValueStudy(spec.draw(np.random.default_rng(seed & _SEED_MASK), 1)[0], spec.null_mask)
 
 
 def restrict_to_nulls(spec: GeneratorSpec) -> GeneratorSpec:

@@ -212,15 +212,13 @@ def load_matrix(path) -> np.ndarray:
 # Config parsing
 # ---------------------------------------------------------------------------
 
-# A config node's ``type`` names a spec constructor (a spec class, or
-# TwoSidedWrap, which returns its inner spec two-sided); its other keys are
-# the constructor's arguments (see _config_keys), checked by it.
+# A config node's ``type`` names a spec class; its other keys are the
+# constructor's arguments (see _config_keys), checked by it.
 _GENERATORS = {
     "iid_uniform": IidUniform,
     "equicorrelated_normal": EquicorrelatedNormal,
     "prdn_gaussian": PrdnGaussian,
     "block": BlockDependent,
-    "two_sided_wrap": TwoSidedWrap,
 }
 _ADVERSARIES = {
     "informed": InformedAdversary,
@@ -253,8 +251,6 @@ def _spec_from_config(node, registry: Mapping[str, type], what: str):
         if "sigma_file" not in args:
             raise ConfigError(f"{what} type {kind!r} needs a sigma_file")
         args["sigma"] = load_matrix(args.pop("sigma_file"))
-    if "inner" in args:  # two_sided_wrap's generator
-        args["inner"] = _spec_from_config(args["inner"], registry, what)
     try:
         return cls(**args)
     except (TypeError, ValueError) as exc:

@@ -215,7 +215,7 @@ class _FdpTask:
     def rows(self, rng: np.random.Generator, count: int) -> np.ndarray:
         n, alpha = self.gen.n, self.alpha
         if self.adv is None:
-            raw, mask = sample_scores(self.gen, rng, count)
+            raw, mask = sample_scores(self.gen, rng, count), self.gen.null_mask
             lo, hi = self.cuts
             keys = self.gen.keys(raw)
             ranked = np.sort(keys, axis=1)
@@ -235,7 +235,7 @@ class _FdpTask:
                 false[redo] = np.count_nonzero(p[:, mask] <= (alpha * r[redo] / n)[:, None],
                                                axis=1)
             return false / np.maximum(r, 1)
-        nulls_sorted = sample_rows(self.nulls, rng, count)[0]
+        nulls_sorted = sample_rows(self.nulls, rng, count)
         nulls_sorted.sort(axis=1)
         n1 = self.gen.n1
         informed = self.proc == "step_up" and isinstance(self.adv, InformedAdversary)
@@ -271,7 +271,7 @@ class _SimesTask:
         return self.gen.n0
 
     def rows(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        nulls = sample_rows(self.gen, rng, count)[0]
+        nulls = sample_rows(self.gen, rng, count)
         nulls.sort(axis=1)
         return simes_sorted(nulls)
 

@@ -69,8 +69,7 @@ class TestConfigParsing:
         assert _config_keys(cls) == params
 
     def test_every_spec_class_has_a_config_type(self):
-        # two_sided_wrap builds a spec of its inner type.
-        assert set(_GENERATORS.values()) - {TwoSidedWrap} == set(typing.get_args(GeneratorSpec))
+        assert set(_GENERATORS.values()) == set(typing.get_args(GeneratorSpec))
         assert set(_ADVERSARIES.values()) == set(typing.get_args(AdversarySpec))
 
     def test_preset_takes_no_custom_fields(self):
@@ -94,9 +93,8 @@ class TestConfigParsing:
         doc = {
             "schema": 1,
             "name": "custom_run",
-            "generator": {"type": "two_sided_wrap",
-                          "inner": {"type": "equicorrelated_normal", "n0": 6,
-                                    "n1": 2, "rho": 0.2}},
+            "generator": {"type": "equicorrelated_normal", "n0": 6, "n1": 2, "rho": 0.2,
+                          "sided": "two"},
             "adversary": {"type": "fixed_zeros", "zeros": 1},
             "alpha_grid": [0.1],
             "reps": 50,
@@ -459,16 +457,13 @@ class TestCli:
          "within must be"),
         ({"generator": [{"type": "iid_uniform", "n0": 3}]}, "generator config must be an object"),
         ({"alpha_grid": 0.1}, "alpha_grid must be a list"),
-        ({"generator": {"type": "two_sided_wrap", "inner": {
-            "type": "equicorrelated_normal", "n0": 3, "sided": "two"}}}, "two-sided already"),
-        ({"generator": {"type": "two_sided_wrap", "inner": {
-            "type": "two_sided_wrap", "inner": {"type": "iid_uniform", "n0": 3}}}},
-         "two-sided already"),
+        ({"generator": {"type": "two_sided_wrap", "inner": {"type": "iid_uniform", "n0": 3}}},
+         "unknown generator type 'two_sided_wrap'"),
     ], ids=["procedure-bogus", "mac-without-zeros", "null_mask-ints", "out_dir-int",
             "name-with-dir", "zeros-above-n1", "masked-one-null", "block-no-nulls",
             "prdn-without-sigma_file", "identical-with-rho_w",
             "sided-left", "within-nested", "generator-list", "alpha_grid-number",
-            "fold-of-two-sided", "fold-of-fold"])
+            "two_sided_wrap-unknown"])
     def test_bad_custom_field_exit_code(self, tmp_path, capsys, changes, message):
         doc = {"schema": 1, "name": "tiny", "generator": {"type": "iid_uniform", "n0": 10},
                "adversary": {"type": "informed"}, "alpha_grid": [0.1], "reps": 10,

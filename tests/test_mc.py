@@ -40,12 +40,12 @@ from fdrlink import (
     masked_zero_count,
     prdn_bound_pi0,
     restrict_to_nulls,
+    sample,
     sample_null_pvalues,
     verify_linking,
 )
 import fdrlink.mc as mc
 from fdrlink.adversaries import anchor_choice
-from fdrlink.dependence import sample_arrays
 from fdrlink.mc import BLOCK_REPS, block_rng
 from fdrlink.procedures import step_count
 
@@ -235,17 +235,28 @@ class TestLanes:
 @pytest.mark.parametrize("spec", DRAW_SPECS.values(), ids=DRAW_SPECS.keys())
 def test_row_draws_are_successive_one_row_draws(spec):
     rows = 9
-    p, mask = spec.draw(np.random.default_rng(3), rows)
+    for draw in (spec.draw, spec.scores):
+        matrix = draw(np.random.default_rng(3), rows)
+        assert type(matrix) is np.ndarray and matrix.shape == (rows, spec.n)
+    p = spec.draw(np.random.default_rng(3), rows)
     rng = np.random.default_rng(3)
-    singles = [spec.draw(rng, 1) for _ in range(rows)]
-    assert p.shape == (rows, spec.n)
-    assert np.array_equal(p, np.vstack([row for row, _ in singles]))
-    assert all(np.array_equal(mask, m) for _, m in singles)
+    assert np.array_equal(p, np.vstack([spec.draw(rng, 1) for _ in range(rows)]))
     null_spec = restrict_to_nulls(spec)
-    nulls, _ = null_spec.draw(np.random.default_rng(4), rows)
+    nulls = null_spec.draw(np.random.default_rng(4), rows)
     rng = np.random.default_rng(4)
     assert nulls.shape == (rows, spec.n0)
-    assert np.array_equal(nulls, np.vstack([null_spec.draw(rng, 1)[0] for _ in range(rows)]))
+    assert np.array_equal(nulls, np.vstack([null_spec.draw(rng, 1) for _ in range(rows)]))
+    # Which coordinates are nulls is the spec's, not a draw's.
+    mask = spec.null_mask.copy()
+    assert mask.dtype == bool and mask.shape == (spec.n,)
+    assert np.count_nonzero(mask) == spec.n0
+    assert all(np.array_equal(mask, sample(spec, seed).null_mask) for seed in range(3))
+    assert restrict_to_nulls(spec).null_mask.all()
+    try:  # a spec hands out a fresh mask or a read-only one
+        spec.null_mask[:] = ~mask
+    except ValueError:
+        pass
+    assert np.array_equal(spec.null_mask, mask)
 
 
 @pytest.mark.parametrize("spec", [
@@ -282,7 +293,7 @@ def test_one_row_draw_is_the_single_draw(label):
     # Block draws are checked against a per-block loop in test_dependence.
     spec = DRAW_SPECS[label]
     for seed in range(5):
-        p, _ = sample_arrays(spec, np.random.default_rng(seed))
+        p = spec.draw(np.random.default_rng(seed), 1)[0]
         assert np.array_equal(p, _single_draw_reference(spec, np.random.default_rng(seed)))
 
 
@@ -337,7 +348,7 @@ class TestFastPathConsistency:
         for proc in ("step_up", "step_down"):
             values = fdp_values(gen, None, proc, 0.25, McConfig(100, 9))
             for fast, rng in zip(values, _replication_rngs(9, 100)):
-                study = PValueStudy(*sample_arrays(gen, rng))
+                study = PValueStudy(gen.draw(rng, 1)[0], gen.null_mask)
                 assert fast == float(step_fdp_oracle(study, 0.25, proc))
 
     def test_most_anti_needs_matching_adversary(self):
@@ -355,9 +366,9 @@ class _FixedNulls(IidUniform):
 
     nulls: tuple = ()
 
-    def draw(self, rng, rows) -> tuple[np.ndarray, np.ndarray]:
+    def draw(self, rng, rows) -> np.ndarray:
         p = np.resize(np.array(self.nulls, ndmin=2), (rows, self.n0))
-        return np.hstack([p, np.ones((rows, self.n1))]), np.arange(self.n) < self.n0
+        return np.hstack([p, np.ones((rows, self.n1))])
 
 
 def _plant_and_count(adv, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> np.ndarray:
@@ -395,7 +406,7 @@ def test_step_up_fdp_is_the_anchor_ratio(source):
             if spec is None:
                 rows = _crafted_rows(8, 8 + n1, alpha, rng)
             else:
-                rows = np.sort(restrict_to_nulls(spec).draw(rng, 200)[0], axis=1)
+                rows = np.sort(restrict_to_nulls(spec).draw(rng, 200), axis=1)
             gen = _FixedNulls(rows.shape[1], n1, nulls=tuple(map(tuple, rows)))
             for adv in advs:
                 values = fdp_values(gen, adv, "step_up", alpha, McConfig(len(rows), 0))
@@ -411,7 +422,7 @@ def test_step_up_fdp_is_the_anchor_ratio(source):
             expected = []
             for block in range(-(-cfg.reps // BLOCK_REPS)):
                 count = min(BLOCK_REPS, cfg.reps - block * BLOCK_REPS)
-                rows = restrict_to_nulls(spec).draw(block_rng(cfg.master_seed, block), count)[0]
+                rows = restrict_to_nulls(spec).draw(block_rng(cfg.master_seed, block), count)
                 expected.append(_plant_and_count(adv, np.sort(rows, axis=1), spec.n1, spec.n,
                                                  alpha))
             values = fdp_values(spec, adv, "step_up", alpha, cfg)

@@ -91,7 +91,7 @@ class _FixedScores(EquicorrelatedNormal):
 
     def scores(self, rng, rows):
         z = np.array(self.z)
-        return np.resize(z, (rows, z.shape[1])), np.arange(self.n) < self.n0
+        return np.resize(z, (rows, z.shape[1]))
 
 
 def _window_rows(cut, n: int, alpha: float) -> list[list[float]]:
@@ -129,9 +129,9 @@ def _pvalue_path(spec, proc: str, alpha: float, cfg: McConfig) -> np.ndarray:
     values = []
     for block in range(-(-cfg.reps // BLOCK_REPS)):
         count = min(BLOCK_REPS, cfg.reps - block * BLOCK_REPS)
-        p, mask = spec.draw(block_rng(cfg.master_seed, block), count)
+        p = spec.draw(block_rng(cfg.master_seed, block), count)
         r = step_count(np.sort(p, axis=1), spec.n, alpha, proc)
-        false = np.count_nonzero(p[:, mask] <= (alpha * r / spec.n)[:, None], axis=1)
+        false = np.count_nonzero(p[:, spec.null_mask] <= (alpha * r / spec.n)[:, None], axis=1)
         values.append(false / np.maximum(r, 1))
     return np.concatenate(values)
 
