@@ -27,11 +27,13 @@ every null mask ``study.check_null_mask`` (booleans, one per p-value).
 :func:`structural_checks` is the one report of the positive-dependence
 checks on a covariance: PRDN, PRDS and the two-sided sign assignment.
 
-The normal CDF and quantile wrappers carry a contract of max absolute error
-at most 1e-12; they delegate to scipy's ``ndtr``/``ndtri``, which are
-accurate to machine precision. scipy is imported on the first Gaussian draw,
-cut or wrapper call, not with this module, so a process that draws only
-uniform p-values never loads it.
+:func:`normal_cdf` and :func:`normal_quantile` carry a contract of max
+absolute error at most 1e-12. They are numpy ports, step for step, of
+Cephes' ``ndtr`` (through ``erf``/``erfc``) and three-range ``ndtri``, the
+routines ``scipy.special`` runs; only numpy's ``exp`` and ``log`` set them
+apart, and the tests hold them within 4 ulps of scipy's values. Gaussian
+p-values and cuts go through the same kernels, so the package needs nothing
+beyond numpy.
 """
 
 from __future__ import annotations
@@ -73,16 +75,170 @@ __all__ = [
 _SEED_MASK = (1 << 64) - 1
 
 
+# Cephes coefficients (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989). erf on |x| < 1 is x T(x^2)/U(x^2); erfc is
+# exp(-x^2) P(x)/Q(x) on 1 <= x < 8 and R/S from 8 on; ndtri is P0/Q0 on its
+# central range and P1/Q1, P2/Q2 in the tails.
+# Every denominator's leading 1 is implicit.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+             1.39312609387279679503E1, -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+             -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+             4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+             -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+             1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+             1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+             2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_SQRT1_2 = 0.70710678118654752440
+_SQRT_2PI = 2.50662827463100050242E0
+_EXP_M2 = 0.13533528323661269189  # exp(-2), ndtri's central-range edge
+_MAXLOG = 7.09782712893383996843E2  # erfc is 0 once x^2 exceeds it
+# Values per kernel pass: half an engine chunk (mc._CHUNK_VALUES), so that
+# the pass's few 256 KB temporaries sit in the heap room mc keeps for them.
+_SUB_VALUES = 1 << 15
+
+
+def _horner(x: np.ndarray, coefs, monic: bool = False, out=None) -> np.ndarray:
+    """Cephes ``polevl`` of `x`, or ``p1evl`` (leading 1 implicit) with
+    `monic`: one rounded product and one rounded sum a step (into `out`)."""
+    if monic:
+        out = np.add(x, coefs[0], out=out)
+    else:
+        out = np.multiply(x, coefs[0], out=out)
+        out += coefs[1]
+    for c in coefs[1 if monic else 2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _by_sub_chunks(kernel, a, *args):
+    """`kernel(src, dst, *args)` over `a` as float64, `_SUB_VALUES` values
+    at a time; an array of `a`'s shape, or a numpy scalar for a scalar."""
+    a = np.asarray(a, dtype=float)
+    out = np.empty(a.shape)
+    src, dst = a.reshape(-1), out.reshape(-1)
+    for start in range(0, src.size, _SUB_VALUES):
+        kernel(src[start:start + _SUB_VALUES], dst[start:start + _SUB_VALUES], *args)
+    return out[()]
+
+
+def _erfc_tail(t: np.ndarray) -> np.ndarray:
+    """Cephes ``erfc`` on ``t >= 1`` (inf included), overwriting `t`."""
+    np.minimum(t, 27.0, out=t)  # 27**2 > _MAXLOG: keeps P/Q finite at inf
+    t2 = t * t
+    y = _horner(t, _ERFC_P)
+    q = _horner(t, _ERFC_Q, monic=True)
+    far = np.flatnonzero(t >= 8.0)
+    if far.size:
+        tf = t[far]
+        y[far] = _horner(tf, _ERFC_R)
+        q[far] = _horner(tf, _ERFC_S, monic=True)
+    y *= np.exp(np.negative(t2, out=t), out=t)
+    y /= q
+    y[t2 > _MAXLOG] = 0.0
+    return y
+
+
+def _ndtr_into(a: np.ndarray, out: np.ndarray, sign: float, fold: bool) -> None:
+    """Cephes ``ndtr(sign * a)`` into `out`, or with `fold` ``2 * ndtr(-|a|)``.
+
+    With ``x = sign * a / sqrt(2)`` (exact for ``sign = +-1``), ``ndtr`` is
+    ``0.5 + 0.5 * erf(x)`` for ``|x| < 1``: Cephes' ``1 - erf`` branch of
+    erfc on ``[1/sqrt(2), 1)`` rounds to the same value. Beyond, it is
+    ``0.5 * erfc(|x|)``, taken from 1 where ``x > 0``. The central rational
+    runs on every value, its argument clipped to [-1, 1] (to [0, 1] for
+    the fold, which takes ``1 - erf(|x|)``), in `out` and two temporaries;
+    erfc's only on the tail."""
+    if fold:
+        w = np.abs(a)
+        w *= _SQRT1_2
+    else:
+        w = np.multiply(a, sign * _SQRT1_2)
+        np.maximum(w, -1.0, out=w)
+    np.minimum(w, 1.0, out=w)
+    w2 = w * w
+    tail = np.flatnonzero(w2 == 1.0)  # |x| >= 1; NaN stays central
+    erf = _horner(w2, _ERF_T, out=out)
+    erf *= w
+    erf /= _horner(w2, _ERF_U, monic=True, out=w)
+    if fold:
+        np.subtract(1.0, erf, out=erf)
+    else:
+        erf *= 0.5
+        erf += 0.5
+    if tail.size:
+        x = a[tail] * (sign * _SQRT1_2)
+        half = _erfc_tail(np.abs(x))
+        half *= 0.5
+        if fold:  # 2 * ndtr(-|a|), not erfc: halving rounds a subnormal erfc
+            half *= 2.0
+        else:
+            np.subtract(1.0, half, out=half, where=x > 0.0)
+        out[tail] = half
+
+
+def _ndtri_into(p: np.ndarray, out: np.ndarray) -> None:
+    """Cephes ``ndtri`` into `out`: ``y = min(p, 1 - p)`` by its rule, the
+    central rational in ``y - 1/2`` above exp(-2), the tails in
+    ``sqrt(-2 log y)`` below. Every branch runs on clipped arguments."""
+    y = np.clip(p, 0.0, 1.0)
+    flip = y > 1.0 - _EXP_M2
+    np.subtract(1.0, y, out=y, where=flip)
+    c = y - 0.5
+    c2 = c * c
+    central = _horner(c2, _NDTRI_P0)
+    central *= c2
+    central /= _horner(c2, _NDTRI_Q0, monic=True)
+    central *= c
+    central += c
+    central *= _SQRT_2PI
+    s = np.sqrt(-2.0 * np.log(np.clip(y, 5e-324, _EXP_M2)))
+    z = 1.0 / s
+    near = s < 8.0
+    shift = np.where(near, _horner(z, _NDTRI_P1), _horner(z, _NDTRI_P2))
+    shift *= z
+    shift /= np.where(near, _horner(z, _NDTRI_Q1, monic=True),
+                      _horner(z, _NDTRI_Q2, monic=True))
+    tails = s - np.log(s) / s
+    tails -= shift
+    out[:] = np.where(y > _EXP_M2, central, np.where(flip, tails, -tails))
+    out[p == 0.0] = -np.inf
+    out[p == 1.0] = np.inf
+    out[(p < 0.0) | (p > 1.0)] = np.nan
+
+
 def normal_cdf(x):
-    """Standard normal CDF (max absolute error <= 1e-12)."""
-    from scipy.special import ndtr
-    return ndtr(x)
+    """Standard normal CDF (max absolute error <= 1e-12): Cephes ``ndtr``."""
+    return _by_sub_chunks(_ndtr_into, x, 1.0, False)
 
 
 def normal_quantile(p):
-    """Standard normal quantile (max absolute error <= 1e-12)."""
-    from scipy.special import ndtri
-    return ndtri(p)
+    """Standard normal quantile (max absolute error <= 1e-12): Cephes ``ndtri``."""
+    return _by_sub_chunks(_ndtri_into, p)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -119,8 +275,10 @@ def _check_sided(sided: str) -> None:
         raise ValueError(f"sided must be 'one' or 'two', got {sided!r}")
 
 
-# The relative window of a Gaussian cut on the level q that ndtr meets: 1e-10
-# covers the errors of scipy's ndtr and ndtri (under 1e-12 down to q = 1e-308).
+# The relative window of a Gaussian cut on the level q that normal_cdf meets:
+# 1e-10 covers the errors of the Cephes kernels above (a few ulps of the
+# exact values, under 1e-12 relative down to q = 1e-308) and the spread of
+# numpy's exp and log across versions and CPUs.
 _CUT_REL = 1e-10
 
 
@@ -151,8 +309,11 @@ class _Spec:
 
     def pvalues(self, raw: np.ndarray) -> np.ndarray:
         """The p-values of raw scores: the level of their keys (``Phi`` of a
-        z-score's key), doubled when two-sided."""
-        p = self.keys(raw) if self.uniform else normal_cdf(self.keys(raw))
+        z-score's key), doubled when two-sided. For z-scores the kernel takes
+        the key's negation and the doubling itself, bit for bit."""
+        if not self.uniform:
+            return _by_sub_chunks(_ndtr_into, raw, -1.0, self.sided == "two")
+        p = self.keys(raw)
         return p if self.sided == "one" else 2.0 * p
 
     def keys(self, raw: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ only informed rows whose zero count clips (``ceiling - rank > n1``) plant
 p-value law: the sorted keys of its scores meet its cuts at
 ``alpha * j / n``, and the null keys the cut at R; a row with a key inside
 a cut's window takes the p-value path (its p-values, sorted, through
-``step_count``), so Gaussian rows call ``ndtr`` only there and every count
+``step_count``), so Gaussian rows take the normal CDF only there and every count
 is the p-values'.
 Rank, zero count, step rule and Simes value are the row-wise kernels of
 ``adversaries`` and ``procedures``.

@@ -1,17 +1,20 @@
-"""scipy, the thread pool, Fractions, JSON, argparse and CSV load on first
-use, not with the package, and the process pool machinery not at all.
+"""The thread pool, JSON, argparse and CSV load on first use, not with the
+package; scipy, Fractions and the process pool machinery not at all.
 
 ``import fdrlink, fdrlink.cli`` loads none of them; a command loads only
 what it runs (argparse to parse, csv to write, json to read a config file,
-the thread pool when a run starts lanes, scipy on the first Gaussian draw),
-and no step loads ``fractions`` or ``multiprocessing``. The fresh-interpreter
-test below records, step by step, which of them is loaded.
+the thread pool when a run starts lanes), and no step loads ``scipy``,
+``fractions`` or ``multiprocessing``: Gaussian draws and cuts run on the
+package's own normal CDF and quantile, which the second test holds to
+scipy's as an oracle. The fresh-interpreter test below records, step by
+step, which of the watched modules is loaded.
 """
 
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -59,12 +62,20 @@ step("lane run")
 from fdrlink import EquicorrelatedNormal
 EquicorrelatedNormal(5, 0, 0.3).draw(np.random.default_rng(0), 2)
 step("equicorrelated draw")
+estimate_fdr(EquicorrelatedNormal(20, 5, 0.3, sided="two"), InformedAdversary(), "step_up",
+             0.1, McConfig(300, 1))
+EquicorrelatedNormal(20, 5, 0.3).cuts(0.1 * np.arange(26.0) / 25)
+step("two-sided Gaussian estimate and cuts")
+with contextlib.redirect_stdout(io.StringIO()):
+    for preset in ("E5", "E6", "E7"):
+        assert fdrlink.cli.main(["run", preset, "--reps", "20", "--out", out]) == 0
+step("run E5-E7")
 import json
 print(json.dumps(loaded))
 """
 
 
-def test_scipy_loads_only_on_the_first_gaussian_draw(tmp_path):
+def test_no_step_loads_scipy(tmp_path):
     """And every other watched module only on its own first use."""
     matrix = tmp_path / "m.txt"
     matrix.write_text("1.0 0.5\n0.5 1.0\n")
@@ -85,15 +96,42 @@ def test_scipy_loads_only_on_the_first_gaussian_draw(tmp_path):
         "import": [], "run E4": cli, "bounds": cli, "check": cli,
         "run config.json": cli_json, "iid estimate": cli_json,
         "two-sided iid estimates": cli_json, "float-tied anchor row": cli_json,
-        "lane run": lanes, "equicorrelated draw": ["scipy"] + lanes,
+        "lane run": lanes, "equicorrelated draw": lanes,
+        "two-sided Gaussian estimate and cuts": lanes, "run E5-E7": lanes,
     }
 
 
-def test_normal_wrappers_are_scipy_bit_for_bit():
-    x = np.concatenate([[-np.inf, -40.0, -38.5, -10.0], np.linspace(-8.0, 8.0, 1601),
-                        [10.0, 38.5, 40.0, np.inf]])
-    p = np.concatenate([[0.0, 5e-324, 1e-300, 1e-100, 1e-17], np.linspace(1e-6, 1 - 1e-6, 999),
-                        [1 - 1e-12, 1 - 2**-53, 1.0]])
-    assert normal_cdf(x).tobytes() == ndtr(x).tobytes()
-    assert normal_quantile(p).tobytes() == ndtri(p).tobytes()
-    assert normal_cdf(-3.25) == ndtr(-3.25) and normal_quantile(0.025) == ndtri(0.025)
+def _ulps(a, b):
+    """The ulp distance of float64 arrays, across zero too: their bit
+    patterns mapped onto one integer order."""
+    def order(v):
+        bits = v.view(np.int64)
+        return np.where(bits < 0, np.iinfo(np.int64).min - bits, bits)
+    return np.abs(order(a) - order(b))
+
+
+def test_normal_kernels_are_within_4_ulps_of_scipy():
+    """scipy's ``ndtr``/``ndtri`` are the oracle: the Cephes ports differ
+    from them only through numpy's ``exp`` and ``log``."""
+    rng = np.random.default_rng(1812)
+    special_x = np.array([-np.inf, np.inf, np.nan, -40.0, 40.0, 0.0, -0.0])
+    special_p = np.array([0.0, 1.0, 5e-324, 1 - 2**-53, np.nan, -0.0, -1e-300, 1.5, np.inf])
+    x = np.concatenate([special_x, [-38.5, -10.0], np.linspace(-8.0, 8.0, 1601),
+                        [10.0, 38.5], rng.uniform(-40.0, 40.0, 10**6)])
+    low = np.logspace(-323.0, np.log10(0.5), 5 * 10**5)
+    p = np.concatenate([special_p, [1e-300, 1e-100, 1e-17], np.linspace(1e-6, 1 - 1e-6, 999),
+                        [1 - 1e-12], low, 1.0 - low])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cdf, quantile = normal_cdf(x), normal_quantile(p)
+        scalars = normal_cdf(-3.25), normal_quantile(0.025)
+    assert cdf.shape == x.shape and quantile.shape == p.shape
+    assert all(type(v) is np.float64 for v in scalars)
+    assert abs(scalars[0] - ndtr(-3.25)) <= 1e-15 and abs(scalars[1] - ndtri(0.025)) <= 1e-15
+    for ours, oracle in ((cdf[:special_x.size], ndtr(special_x)),
+                         (quantile[:special_p.size], ndtri(special_p))):
+        nan = np.isnan(oracle)
+        assert np.array_equal(np.isnan(ours), nan)
+        assert ours[~nan].tobytes() == oracle[~nan].tobytes()  # signed zeros too
+    assert _ulps(cdf[special_x.size:], ndtr(x[special_x.size:])).max() <= 4
+    assert _ulps(quantile[special_p.size:], ndtri(p[special_p.size:])).max() <= 4

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from fdrlink import (
     BlockDependent,
@@ -38,6 +37,7 @@ from fdrlink import (
     fdp_values,
     fdx_bound,
     masked_zero_count,
+    normal_cdf,
     prdn_bound_pi0,
     restrict_to_nulls,
     sample,
@@ -159,6 +159,7 @@ class TestSeeding:
 
 # Three blocks, the last one partial.
 _LANE_REPS = 2 * BLOCK_REPS + 37
+_LANE_GAUSS = EquicorrelatedNormal(300, 30, 0.5)
 
 
 def _lane_values(kind, cfg):
@@ -168,6 +169,11 @@ def _lane_values(kind, cfg):
         return fdp_values(IidUniform(300, 30), InformedAdversary(), "step_up", 0.1, cfg)
     if kind == "simes-300":
         return estimate_fdr0_curve(IidUniform(300, 0), cfg).knots
+    # Gaussian rows run the normal CDF kernel on both lanes at once.
+    if kind == "informed-gauss":
+        return fdp_values(_LANE_GAUSS, InformedAdversary(), "step_up", 0.1, cfg)
+    if kind == "simes-gauss":
+        return estimate_fdr0_curve(restrict_to_nulls(_LANE_GAUSS), cfg).knots
     est = estimate_worst_fdr_limit(0.05, cfg)
     return np.array([est.mean, est.stderr])
 
@@ -190,7 +196,8 @@ class TestLanes:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingThreads)
         return started
 
-    @pytest.mark.parametrize("kind", ["none-wide", "informed-300", "simes-300", "limit"])
+    @pytest.mark.parametrize("kind", ["none-wide", "informed-300", "simes-300", "limit",
+                                      "informed-gauss", "simes-gauss"])
     def test_lanes_change_no_value(self, counting_threads, kind):
         lanes = _lane_values(kind, McConfig(_LANE_REPS, 13))
         assert counting_threads == [2]  # this thread and two more
@@ -275,17 +282,18 @@ def test_fdp_pass_and_simes_pass_read_the_same_nulls(spec):
 
 def _single_draw_reference(spec, rng) -> np.ndarray:
     """One study as a single draw has always made it: the nulls' normals
-    drawn and transformed on their own, then the non-nulls'."""
+    drawn and transformed on their own, then the non-nulls'. The subject is
+    the draw, so Phi is the package's own."""
     if isinstance(spec, IidUniform):
         return rng.random(spec.n)
     if isinstance(spec, PrdnGaussian):
-        return ndtr(-(spec.mu + spec._sqrt @ rng.standard_normal(spec.n)))
+        return normal_cdf(-(spec.mu + spec._sqrt @ rng.standard_normal(spec.n)))
     z0 = rng.standard_normal(spec.n0)
     if spec.rho != 0.0:
         a, b = math.sqrt(1.0 - spec.rho), math.sqrt(1.0 + (spec.n0 - 1) * spec.rho)
         z0 = a * z0 + (b - a) * z0.mean()
     z = np.concatenate([z0, spec.mu_alt + rng.standard_normal(spec.n1)])
-    return ndtr(-z) if spec.sided == "one" else 2.0 * ndtr(-np.abs(z))
+    return normal_cdf(-z) if spec.sided == "one" else 2.0 * normal_cdf(-np.abs(z))
 
 
 @pytest.mark.parametrize("label", ["iid", "equi-nonnull", "equi-two-sided", "prdn"])
