@@ -10,7 +10,6 @@ from fdrlink import (
     EquicorrelatedNormal,
     IidUniform,
     PrdnGaussian,
-    TwoSidedWrap,
     block_adjusted_pvalues,
     conditional_slope,
     mtp2_sign_check,
@@ -18,7 +17,6 @@ from fdrlink import (
     prds_check_gaussian,
     sample,
     simes_pvalue,
-    two_sided_from_one_sided,
     vanishing_null_family,
 )
 
@@ -28,16 +26,16 @@ specs = {
     "equicorrelated (rho=0.4)": EquicorrelatedNormal(6, 2, 0.4),
     "negative equicorrelated": EquicorrelatedNormal(6, 2, -1.0 / 5),
     "identical blocks of 3": BlockDependent((3, 3, 2)),
-    # TwoSidedWrap returns its inner spec with sided="two": the same scores.
-    "two-sided (rho=0.4)": TwoSidedWrap(EquicorrelatedNormal(6, 2, 0.4)),
+    # sided="two" keeps the scores and takes two-sided p-values of them.
+    "two-sided (rho=0.4)": EquicorrelatedNormal(6, 2, 0.4, sided="two"),
 }
 for label, spec in specs.items():
     study = sample(spec, 2024)
     print(f"{label:28s} nulls={np.round(study.null_pvalues, 3)}")
 
-# Two-sided uniforms fold one-sided p-values through 2*min(p, 1-p).
-print(f"\nfold: 0.30 -> {two_sided_from_one_sided(0.3)}, "
-      f"0.80 -> {two_sided_from_one_sided(0.8)}")
+# Two-sided uniforms fold their scores through 2*min(u, 1-u).
+fold = IidUniform(2, sided="two").pvalues(np.array([0.3, 0.8]))
+print(f"\nfold: 0.30 -> {fold[0]}, 0.80 -> {fold[1]}")
 
 # Block-adjusted p-values: one per block, the block minimum scaled up.
 study = sample(BlockDependent((3, 3, 2)), 5)

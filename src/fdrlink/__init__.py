@@ -52,12 +52,9 @@ from .dependence import (
     EquicorrelatedNormal,
     PrdnGaussian,
     BlockDependent,
-    TwoSidedWrap,
     sample,
     sample_null_pvalues,
     restrict_to_nulls,
-    equicorrelated_sqrt,
-    two_sided_from_one_sided,
     block_adjusted_pvalues,
     prdn_check_gaussian,
     prds_check_gaussian,

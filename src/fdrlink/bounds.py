@@ -144,12 +144,10 @@ def prdn_bound(alpha: float) -> float:
 
 
 def prdn_bound_pi0(pi0: float, alpha: float) -> float:
-    """Sharper form ``pi0*alpha + pi0*alpha * log(1/(pi0*alpha))``; never
-    exceeds :func:`prdn_bound` since ``t + t*log(1/t)`` increases on (0, 1]."""
-    pi0 = _check_pi0(pi0)
-    alpha = check_open_unit("alpha", alpha)
-    t = pi0 * alpha
-    return t + t * math.log(1.0 / t)
+    """Sharper form ``pi0*alpha + pi0*alpha * log(1/(pi0*alpha))``: the
+    linking bound of ``F(x) = x``. Never exceeds :func:`prdn_bound` since
+    ``t + t*log(1/t)`` increases on (0, 1]."""
+    return fdr_link_bound(pi0, alpha, LinearCurve(1.0))
 
 
 _HARMONIC_CUTOFF = 10**6
@@ -184,8 +182,8 @@ def arbitrary_dep_bound(n0: int, pi0: float, alpha: float) -> float:
     """Arbitrary-dependence ceiling driven by the nulls alone.
 
     Equals 1 when ``alpha >= 1 / (pi0 * S(n0))`` and otherwise
-    ``S(n0)*pi0*alpha * log(e / (S(n0)*pi0*alpha))``; identical to
-    :func:`fdr_link_bound` with a ``LinearCurve(S(n0))``.
+    ``S(n0)*pi0*alpha * log(e / (S(n0)*pi0*alpha))``; equal, up to rounding,
+    to :func:`fdr_link_bound` with a ``LinearCurve(S(n0))``.
     """
     pi0 = _check_pi0(pi0)
     alpha = check_open_unit("alpha", alpha)

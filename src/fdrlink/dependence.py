@@ -10,8 +10,8 @@ value. Which coordinates are nulls is a fact of the spec, not of a draw:
 every spec has a ``null_mask`` and a draw is its matrix alone. A spec is
 also its own p-value law: ``pvalues`` maps the scores to p-values (``draw``
 is that map of ``scores``) as the level of their ``keys``, and ``keys`` and
-``cuts`` decide ``p <= t`` without it. Every spec has a field ``sided``, and
-:func:`TwoSidedWrap` returns its inner spec two-sided. A spec's
+``cuts`` decide ``p <= t`` without it. Every spec has a field ``sided``;
+a two-sided spec is built with ``sided="two"``. A spec's
 ``nulls_only()`` is the spec of its null components alone; every null-only
 draw, in the Monte Carlo engine and in :func:`sample_null_pvalues`, is a
 ``draw`` of that spec. Null p-values
@@ -38,7 +38,6 @@ beyond numpy.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
@@ -52,15 +51,12 @@ __all__ = [
     "EquicorrelatedNormal",
     "PrdnGaussian",
     "BlockDependent",
-    "TwoSidedWrap",
     "GeneratorSpec",
     "sample",
     "sample_null_pvalues",
     "sample_rows",
     "sample_scores",
     "restrict_to_nulls",
-    "equicorrelated_sqrt",
-    "two_sided_from_one_sided",
     "block_adjusted_pvalues",
     "structural_checks",
     "prdn_check_gaussian",
@@ -570,20 +566,11 @@ GeneratorSpec = Union[IidUniform, EquicorrelatedNormal, PrdnGaussian, BlockDepen
 
 
 def TwoSidedWrap(inner: GeneratorSpec) -> GeneratorSpec:
-    """`inner` with two-sided p-values: the same spec and scores with
-    ``sided="two"``. An inner spec that is two-sided already is rejected. A
-    :class:`PrdnGaussian` keeps its factors, so wrapping one costs no
-    ``eigh``."""
+    """`inner` with ``sided="two"``, rejecting an inner spec that is two-sided
+    already. Kept for the benchmark harness; specs take ``sided="two"``."""
     if inner.sided == "two":
         raise ValueError("TwoSidedWrap folds one-sided p-values; its inner "
                          "generator is two-sided already")
-    if isinstance(inner, PrdnGaussian):  # replace() would run eigh again
-        spec = copy.copy(inner)
-        nulls = spec if inner._nulls is inner else copy.copy(inner._nulls)
-        for part in (spec, nulls):
-            object.__setattr__(part, "sided", "two")
-            object.__setattr__(part, "_nulls", nulls)
-        return spec
     return replace(inner, sided="two")
 
 
@@ -599,21 +586,6 @@ def _psd_sqrt(sigma: np.ndarray) -> np.ndarray:
     if vals.min() < -1e-8 * max(vals.max(), 1.0):
         raise ValueError(f"covariance is not positive semidefinite (min eig {vals.min():.3e})")
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-
-
-def equicorrelated_sqrt(n: int, rho: float) -> np.ndarray:
-    """Closed-form symmetric square root of the n x n equicorrelation matrix.
-
-    Built from the spectral decomposition: eigenvalue ``1 + (n-1)*rho`` on the
-    all-ones direction and ``1 - rho`` on its complement.
-    """
-    check_count("n", n, 1)
-    _check_rho("rho", rho, n)
-    a = math.sqrt(max(1.0 - rho, 0.0))
-    b = math.sqrt(max(1.0 + (n - 1) * rho, 0.0))
-    mat = np.full((n, n), (b - a) / n)
-    mat[np.diag_indices(n)] += a
-    return mat
 
 
 def sample_rows(spec: GeneratorSpec, rng: np.random.Generator, rows: int) -> np.ndarray:
@@ -644,19 +616,6 @@ def sample(spec: GeneratorSpec, seed: int) -> PValueStudy:
 def restrict_to_nulls(spec: GeneratorSpec) -> GeneratorSpec:
     """The generator of the null components alone (a global-null spec)."""
     return spec.nulls_only()
-
-
-def two_sided_from_one_sided(p):
-    """Fold a one-sided p-value: ``2p`` below 1/2, ``2(1-p)`` above.
-
-    Maps Uniform(0, 1) to Uniform(0, 1); accepts scalars or arrays.
-    """
-    arr = np.asarray(p, dtype=float)
-    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails too
-        raise ValueError("p-values must lie in [0, 1]")
-    # Above 1/2, 1 - p is exact and the smaller of the two.
-    folded = 2.0 * np.minimum(arr, 1.0 - arr)
-    return float(folded) if np.isscalar(p) or arr.ndim == 0 else folded
 
 
 def block_adjusted_pvalues(study: PValueStudy, blocks: Sequence[Sequence[int]]) -> np.ndarray:

@@ -58,7 +58,6 @@ from .dependence import (
     GeneratorSpec,
     IidUniform,
     PrdnGaussian,
-    TwoSidedWrap,
     check_covariance,
     structural_checks,
     vanishing_null_family,
@@ -483,13 +482,10 @@ def _preset_e4(cfg: ExperimentConfig) -> dict[str, tuple]:
 
 def _consistency_members() -> dict[str, dict[str, GeneratorSpec]]:
     classes: dict[str, dict[str, GeneratorSpec]] = {}
-    equi = {}
-    for n0 in (50, 200):
-        for rho in (-1.0 / (n0 - 1), 0.0, 0.5):
-            equi[f"n0={n0},rho={rho:.4g}"] = EquicorrelatedNormal(n0, 0, rho)
-    classes["equicorrelated_one_sided"] = equi
-    classes["equicorrelated_two_sided"] = {
-        label: TwoSidedWrap(gen) for label, gen in equi.items()}
+    for sided in ("one", "two"):
+        classes[f"equicorrelated_{sided}_sided"] = {
+            f"n0={n0},rho={rho:.4g}": EquicorrelatedNormal(n0, 0, rho, sided)
+            for n0 in (50, 200) for rho in (-1.0 / (n0 - 1), 0.0, 0.5)}
     classes["block_b3"] = {
         f"m={m}": BlockDependent(tuple([3] * m)) for m in (20, 60)}
     vanish = {}

@@ -1,6 +1,6 @@
-"""Shared test helpers: exact and brute-force oracles, and distribution
-distances. The oracles are per-element Python loops, independent of the
-vectorized kernels they check."""
+"""Shared test helpers: exact, brute-force and closed-form oracles, and
+distribution distances. The oracles are per-element Python loops or direct
+formulas, independent of the vectorized kernels they check."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import numpy as np
 
 from fdrlink import (BlockDependent, EquicorrelatedNormal, FixedZerosAdversary, IidUniform,
                      InformedAdversary, MostAntiConservativeAdversary, PrdnGaussian,
-                     PValueStudy, RejectionOutcome, TwoSidedWrap)
+                     PValueStudy, RejectionOutcome)
 from fdrlink.mc import BLOCK_REPS, block_rng
 
 # Asymptotic Kolmogorov-Smirnov critical coefficient at the 1% level:
@@ -31,7 +31,7 @@ DRAW_SPECS = {
     "block-equi-partial": BlockDependent((3, 2, 4, 1), "equicorrelated", 0.5,
                                          [True, False, False, False, True, True, False,
                                           True, True, False], 1.2),
-    "wrap-block": TwoSidedWrap(BlockDependent((2, 3), "equicorrelated", 0.6)),
+    "wrap-block": BlockDependent((2, 3), "equicorrelated", 0.6, sided="two"),
 }
 
 
@@ -41,6 +41,23 @@ def ks_distance_uniform(samples) -> float:
     n = x.size
     grid = np.arange(1, n + 1) / n
     return float(max(np.max(grid - x), np.max(x - (grid - 1.0 / n))))
+
+
+def two_sided_from_one_sided(p: np.ndarray) -> np.ndarray:
+    """Fold one-sided p-values: ``2p`` below 1/2, ``2(1-p)`` above."""
+    p = np.asarray(p, dtype=float)
+    return np.where(p <= 0.5, 2.0 * p, 2.0 * (1.0 - p))
+
+
+def equicorrelated_sqrt(n: int, rho: float) -> np.ndarray:
+    """The dense symmetric square root of the n x n equicorrelation matrix:
+    eigenvalue ``1 + (n-1)*rho`` on the all-ones direction and ``1 - rho``
+    on its complement."""
+    a = math.sqrt(max(1.0 - rho, 0.0))
+    b = math.sqrt(max(1.0 + (n - 1) * rho, 0.0))
+    mat = np.full((n, n), (b - a) / n)
+    mat[np.diag_indices(n)] += a
+    return mat
 
 
 def threshold_ceil_oracle(p: float, n: int, alpha: float) -> int:

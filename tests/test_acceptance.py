@@ -23,7 +23,6 @@ from fdrlink import (
     McConfig,
     McEstimate,
     PValueStudy,
-    TwoSidedWrap,
     arbitrary_dep_bound,
     bh_step_up,
     estimate_fdr,
@@ -275,7 +274,7 @@ def test_c08_linking_bound_grid():
 def test_c09_two_sided_and_block_constants():
     alpha = 0.05
     cfg = McConfig(reps=REPS, master_seed=MASTER_SEED + 9)
-    two_sided = TwoSidedWrap(EquicorrelatedNormal(100, 0, 0.5))
+    two_sided = EquicorrelatedNormal(100, 0, 0.5, sided="two")
     est2 = estimate_fdr(two_sided, None, "step_up", alpha, cfg)
     block = BlockDependent(tuple([3] * 34))
     est3 = estimate_fdr(block, None, "step_up", alpha, cfg)

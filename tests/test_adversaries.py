@@ -10,13 +10,13 @@ from hypothesis import given, settings
 
 from fdrlink import (
     BonferroniMaskedAdversary,
+    EquicorrelatedNormal,
     FixedZerosAdversary,
     InformedAdversary,
     MostAntiConservativeAdversary,
     IidUniform,
     bh_step_up,
     complete_study,
-    equicorrelated_sqrt,
     fdp_upper_bound,
     feasible_max_fdp_rank,
     informed_adversary,
@@ -428,7 +428,7 @@ class TestCountRule:
         lambda: complete_study([0.01, 0.02], 2.9, 4.9, 0.05, InformedAdversary()),
         lambda: most_anti_conservative([0.01, 0.02], 8, 10.0, 0.05),
         lambda: min_rejections_for(0.01, 10.9, 0.05),
-        lambda: equicorrelated_sqrt(3.9, 0.2),
+        lambda: EquicorrelatedNormal(3.9, 0, 0.2),
         lambda: sample(IidUniform(3), 2.7),
         lambda: sample(IidUniform(3), "5"),
     ], ids=["masked-negative-n1", "masked-float-n", "masked-n-below-n0", "rank-n-below-n0",

@@ -141,12 +141,14 @@ class TestPrdnBounds:
             assert prdn_bound_pi0(pi0, alpha) <= prdn_bound(alpha) + 1e-15
 
     def test_equals_linear_one_link_bound_exactly(self):
+        # prdn_bound_pi0 is the linking bound of F(x) = x; the closed form
+        # t + t*log(1/t) is its oracle, bit for bit.
         rng = np.random.default_rng(205)
         for _ in range(100):
             pi0 = float(rng.uniform(0.05, 1.0))
             alpha = float(rng.uniform(0.001, 0.9))
-            if prdn_bound_pi0(pi0, alpha) < 1.0:
-                assert fdr_link_bound(pi0, alpha, LinearCurve(1.0)) == prdn_bound_pi0(pi0, alpha)
+            t = pi0 * alpha
+            assert prdn_bound_pi0(pi0, alpha) == t + t * math.log(1.0 / t)
 
     def test_domain(self):
         with pytest.raises(ValueError):

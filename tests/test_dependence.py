@@ -12,10 +12,8 @@ from fdrlink import (
     IidUniform,
     PrdnGaussian,
     PValueStudy,
-    TwoSidedWrap,
     block_adjusted_pvalues,
     conditional_slope,
-    equicorrelated_sqrt,
     mtp2_sign_check,
     normal_cdf,
     normal_quantile,
@@ -26,13 +24,11 @@ from fdrlink import (
     sample_null_pvalues,
     simes_pvalue,
     structural_checks,
-    two_sided_from_one_sided,
     vanishing_null_family,
 )
-from fdrlink import dependence
-from fdrlink.dependence import _equicorrelate
+from fdrlink.dependence import TwoSidedWrap, _equicorrelate
 
-from _util import KS_COEFF_1PCT, ks_distance_uniform
+from _util import KS_COEFF_1PCT, equicorrelated_sqrt, ks_distance_uniform, two_sided_from_one_sided
 
 # Independent high-precision reference values (mpmath at 40 digits,
 # rounded to 17 significant figures).
@@ -92,15 +88,10 @@ class TestEquicorrelatedSqrt:
             direct = equicorrelated_sqrt(n, rho) @ z
             assert np.allclose(direct, _equicorrelate(z, rho), atol=1e-12)
 
-    def test_inadmissible_rho(self):
-        with pytest.raises(ValueError):
-            equicorrelated_sqrt(5, -0.5)
-
     @pytest.mark.parametrize("build", [
-        lambda size, rho: equicorrelated_sqrt(size, rho),
         lambda size, rho: EquicorrelatedNormal(size, 0, rho),
         lambda size, rho: BlockDependent((size,), "equicorrelated", rho),
-    ], ids=["sqrt", "equicorrelated", "block"])
+    ], ids=["equicorrelated", "block"])
     def test_one_rho_rule(self, build):
         # Below the floor -1/(size-1) by more than 1e-15 raises; within it builds.
         with pytest.raises(ValueError, match="rho(_w)? must be"):
@@ -157,7 +148,7 @@ class TestSpecValidation:
             build()
 
     def test_counts(self):
-        spec = TwoSidedWrap(EquicorrelatedNormal(10, 5, 0.2))
+        spec = EquicorrelatedNormal(10, 5, 0.2, sided="two")
         assert (spec.n, spec.n0, spec.n1) == (15, 10, 5)
 
 
@@ -167,7 +158,7 @@ class TestSampling:
             IidUniform(20, 5),
             EquicorrelatedNormal(15, 5, 0.4),
             BlockDependent((3, 3, 3)),
-            TwoSidedWrap(EquicorrelatedNormal(10, 0, -0.1 / 9)),
+            EquicorrelatedNormal(10, 0, -0.1 / 9, sided="two"),
         ):
             a = sample(spec, 12345)
             b = sample(spec, 12345)
@@ -184,11 +175,8 @@ class TestSampling:
     def test_equicorrelated_zero_rho_is_iid(self):
         # Mean pairwise correlation of recovered z-scores near zero.
         n0, reps = 100, 4000
-        sums = np.empty(reps)
-        rng = np.random.default_rng(21)
-        for r in range(reps):
-            p = sample_null_pvalues(EquicorrelatedNormal(n0, 0, 0.0), rng)
-            sums[r] = np.sum(-normal_quantile(p))
+        p = EquicorrelatedNormal(n0, 0, 0.0).draw(np.random.default_rng(21), reps)
+        sums = np.sum(-normal_quantile(p), axis=1)
         pairwise = (np.var(sums) / n0 - 1.0) / (n0 - 1)
         assert abs(pairwise) <= 1e-3
 
@@ -196,21 +184,15 @@ class TestSampling:
         # At rho = -1/(n-1) the z-scores sum to zero, so the mean pairwise
         # correlation estimate collapses to exactly -1/(n-1).
         n0, reps = 1000, 400
-        rng = np.random.default_rng(22)
-        sums = np.empty(reps)
-        for r in range(reps):
-            p = sample_null_pvalues(EquicorrelatedNormal(n0, 0, -1.0 / 999), rng)
-            sums[r] = np.sum(-normal_quantile(p))
+        p = EquicorrelatedNormal(n0, 0, -1.0 / 999).draw(np.random.default_rng(22), reps)
+        sums = np.sum(-normal_quantile(p), axis=1)
         pairwise = (np.var(sums) / n0 - 1.0) / (n0 - 1)
         assert pairwise == pytest.approx(-1.0 / 999, abs=2e-5)
 
     def test_positive_equicorrelation_recovered(self):
         n0, reps, rho = 50, 4000, 0.5
-        rng = np.random.default_rng(23)
-        sums = np.empty(reps)
-        for r in range(reps):
-            p = sample_null_pvalues(EquicorrelatedNormal(n0, 0, rho), rng)
-            sums[r] = np.sum(-normal_quantile(p))
+        p = EquicorrelatedNormal(n0, 0, rho).draw(np.random.default_rng(23), reps)
+        sums = np.sum(-normal_quantile(p), axis=1)
         pairwise = (np.var(sums) / n0 - 1.0) / (n0 - 1)
         assert pairwise == pytest.approx(rho, abs=0.06)
 
@@ -222,11 +204,7 @@ class TestSampling:
             [0.0, 0.0, -0.3, 1.0],
         ])
         spec = PrdnGaussian(sigma, (0, 1, 2))
-        rng = np.random.default_rng(24)
-        reps = 6000
-        zs = np.empty((reps, 4))
-        for r in range(reps):
-            zs[r] = -normal_quantile(spec.draw(rng, 1)[0])
+        zs = -normal_quantile(spec.draw(np.random.default_rng(24), 6000))
         emp = np.cov(zs.T)
         assert np.abs(emp - sigma).max() <= 0.08
 
@@ -237,14 +215,11 @@ class TestSampling:
         EquicorrelatedNormal(10, 0, 0.3, sided="two"),
         BlockDependent((2, 3, 5)),
         BlockDependent((2, 3, 5), within="equicorrelated", rho_w=0.5),
-        TwoSidedWrap(EquicorrelatedNormal(10, 0, 0.4)),
+        EquicorrelatedNormal(10, 0, 0.4, sided="two"),
     ])
     def test_null_marginals_uniform(self, spec):
         reps = 100_000
-        rng = np.random.default_rng(25)
-        coord = np.empty(reps)
-        for r in range(reps):
-            coord[r] = sample_null_pvalues(spec, rng)[3]
+        coord = restrict_to_nulls(spec).draw(np.random.default_rng(25), reps)[:, 3]
         assert ks_distance_uniform(coord) <= KS_COEFF_1PCT / math.sqrt(reps)
 
     def test_identical_block_shares_one_draw(self):
@@ -321,7 +296,7 @@ class TestRestrictToNulls:
         mask = np.array([True, False, True, True, False])
         blk = restrict_to_nulls(BlockDependent((2, 3), null_mask=mask))
         assert blk.block_sizes == (1, 2) and blk.n0 == 3
-        assert restrict_to_nulls(TwoSidedWrap(IidUniform(4, 2))) == IidUniform(4, 0, "two")
+        assert restrict_to_nulls(IidUniform(4, 2, "two")) == IidUniform(4, 0, "two")
 
     def test_block_null_spec_is_built_once(self):
         for mask in (np.arange(12) < 5, None):
@@ -329,68 +304,68 @@ class TestRestrictToNulls:
             assert restrict_to_nulls(spec) is restrict_to_nulls(spec)
 
 
+_SIGMA3 = np.array([[1.0, 0.4, 0.0], [0.4, 1.0, 0.2], [0.0, 0.2, 1.0]])
+
+
 class TestTwoSidedTransform:
     def test_branch_values(self):
-        assert two_sided_from_one_sided(0.3) == pytest.approx(0.6)
-        assert two_sided_from_one_sided(0.8) == pytest.approx(0.4)
-        assert two_sided_from_one_sided(0.5) == pytest.approx(1.0)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            two_sided_from_one_sided(1.2)
-        with pytest.raises(ValueError):
-            two_sided_from_one_sided(-0.1)
-        with pytest.raises(ValueError):
-            two_sided_from_one_sided(np.nan)
-        assert two_sided_from_one_sided(np.array([])).size == 0
+        p = IidUniform(3, sided="two").pvalues(np.array([0.3, 0.8, 0.5]))
+        assert p.tolist() == pytest.approx([0.6, 0.4, 1.0])
 
     def test_gaussian_wrap_is_exact_in_the_tails(self):
         z = np.array([-9.0, -6.0, -3.0, 3.0, 6.0, 9.0])
-        wrapped = TwoSidedWrap(EquicorrelatedNormal(3)).pvalues(z)
-        assert wrapped.tobytes() == EquicorrelatedNormal(3, sided="two").pvalues(z).tobytes()
-        assert wrapped[0] == 2.0 * normal_cdf(-9.0) > 0.0
+        p = EquicorrelatedNormal(3, sided="two").pvalues(z)
+        assert p.tobytes() == (2.0 * normal_cdf(-np.abs(z))).tobytes()
+        assert p[0] == 2.0 * normal_cdf(-9.0) > 0.0
 
-    @pytest.mark.parametrize("spec", [
-        IidUniform(4, 3),
-        EquicorrelatedNormal(4, 3, 0.3),
-        PrdnGaussian(np.array([[1.0, 0.4, 0.0], [0.4, 1.0, 0.2], [0.0, 0.2, 1.0]]), (0, 2),
-                     np.array([0.0, 1.5, 0.0])),
-        BlockDependent((2, 3), null_mask=np.arange(5) < 3),
-        BlockDependent((2, 3), "equicorrelated", 0.5, np.arange(5) < 3),
+    @pytest.mark.parametrize("spec, two_sided", [
+        (IidUniform(4, 3), IidUniform(4, 3, "two")),
+        (EquicorrelatedNormal(4, 3, 0.3), EquicorrelatedNormal(4, 3, 0.3, "two")),
+        (PrdnGaussian(_SIGMA3, (0, 2), np.array([0.0, 1.5, 0.0])),
+         PrdnGaussian(_SIGMA3, (0, 2), np.array([0.0, 1.5, 0.0]), "two")),
+        (BlockDependent((2, 3), null_mask=np.arange(5) < 3),
+         BlockDependent((2, 3), null_mask=np.arange(5) < 3, sided="two")),
+        (BlockDependent((2, 3), "equicorrelated", 0.5, np.arange(5) < 3),
+         BlockDependent((2, 3), "equicorrelated", 0.5, np.arange(5) < 3, sided="two")),
     ], ids=["iid", "equicorrelated", "prdn", "block-identical", "block-equicorrelated"])
-    def test_a_wrap_is_its_inner_spec_two_sided(self, spec):
+    def test_a_wrap_is_its_inner_spec_two_sided(self, spec, two_sided):
         wrapped = TwoSidedWrap(spec)
-        assert type(wrapped) is type(spec) and wrapped.sided == "two"
-        assert restrict_to_nulls(wrapped).sided == "two"
+        assert type(wrapped) is type(spec) and wrapped.sided == "two" and spec.sided == "one"
         raw = wrapped.scores(np.random.default_rng(8), 50)
         assert raw.tobytes() == spec.scores(np.random.default_rng(8), 50).tobytes()
         assert np.array_equal(wrapped.null_mask, spec.null_mask)
         expected = two_sided_from_one_sided(raw) if spec.uniform else \
             2.0 * normal_cdf(-np.abs(raw))
         assert wrapped.pvalues(raw).tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("null_idx", [(0, 2), (0, 1, 2)], ids=["mixed", "all-null"])
-    def test_a_prdn_wrap_carries_its_factors(self, monkeypatch, null_idx):
-        sigma = np.array([[1.0, 0.4, 0.0], [0.4, 1.0, 0.2], [0.0, 0.2, 1.0]])
-        mu = np.array([0.0, 1.5, 0.0]) if len(null_idx) < 3 else None
-        spec = PrdnGaussian(sigma, null_idx, mu)
-        calls = []
-        real = dependence._psd_sqrt
-        monkeypatch.setattr(dependence, "_psd_sqrt", lambda m: calls.append(m) or real(m))
-        wrapped = TwoSidedWrap(spec)
-        assert calls == [] and spec.sided == "one"
-        built = PrdnGaussian(sigma, null_idx, mu, sided="two")
-        for got, want in [(wrapped, built), (restrict_to_nulls(wrapped), restrict_to_nulls(built))]:
+        # The wrap and its null spec draw what the spec built two-sided does.
+        for got, want in [(wrapped, two_sided),
+                          (restrict_to_nulls(wrapped), restrict_to_nulls(two_sided))]:
             assert got.sided == "two" and restrict_to_nulls(got).sided == "two"
             p = got.draw(np.random.default_rng(5), 40)
             assert p.tobytes() == want.draw(np.random.default_rng(5), 40).tobytes()
             assert np.array_equal(got.null_mask, want.null_mask)
 
+    @pytest.mark.parametrize("null_idx", [(0, 2), (0, 1, 2)], ids=["mixed", "all-null"])
+    def test_a_prdn_wrap_carries_its_factors(self, null_idx):
+        sigma = np.array([[1.0, 0.4, 0.0], [0.4, 1.0, 0.2], [0.0, 0.2, 1.0]])
+        mu = np.array([0.0, 1.5, 0.0]) if len(null_idx) < 3 else None
+        spec = PrdnGaussian(sigma, null_idx, mu)
+        wrapped = TwoSidedWrap(spec)
+        # The wrap leaves the one-sided spec and its null spec as they were.
+        assert spec.sided == "one" and restrict_to_nulls(spec).sided == "one"
+        assert (restrict_to_nulls(wrapped) is wrapped) == (len(null_idx) == 3)
+        built = PrdnGaussian(sigma, null_idx, mu, sided="two")
+        for got, want in [(wrapped, built), (restrict_to_nulls(wrapped), restrict_to_nulls(built))]:
+            assert got.sided == "two" and restrict_to_nulls(got).sided == "two"
+            assert got._sqrt.tobytes() == want._sqrt.tobytes()
+            p = got.draw(np.random.default_rng(5), 40)
+            assert p.tobytes() == want.draw(np.random.default_rng(5), 40).tobytes()
+            assert np.array_equal(got.null_mask, want.null_mask)
+
     def test_uniform_to_uniform(self):
-        rng = np.random.default_rng(26)
-        u = rng.random(50_000)
-        folded = two_sided_from_one_sided(u)
-        assert ks_distance_uniform(folded) <= KS_COEFF_1PCT / math.sqrt(u.size)
+        n = 50_000
+        folded = IidUniform(n, sided="two").draw(np.random.default_rng(26), 1)[0]
+        assert ks_distance_uniform(folded) <= KS_COEFF_1PCT / math.sqrt(n)
 
 
 class TestBlockAdjusted:
@@ -575,11 +550,8 @@ class TestSimesDistribution:
     """Distributional facts about the Simes combination under the samplers."""
 
     def _simes_samples(self, spec, reps, seed):
-        rng = np.random.default_rng(seed)
-        out = np.empty(reps)
-        for r in range(reps):
-            out[r] = simes_pvalue(sample_null_pvalues(spec, rng))
-        return out
+        nulls = restrict_to_nulls(spec).draw(np.random.default_rng(seed), reps)
+        return np.array([simes_pvalue(row) for row in nulls])
 
     def test_exactly_uniform_under_independence(self):
         samples = self._simes_samples(IidUniform(20, 0), 20_000, 31)

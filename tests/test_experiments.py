@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fdrlink import (BlockDependent, EquicorrelatedNormal, FixedZerosAdversary, IidUniform,
-                     McConfig, PrdnGaussian, TwoSidedWrap)
+                     McConfig, PrdnGaussian)
 from fdrlink.adversaries import AdversarySpec
 from fdrlink.cli import main
 from fdrlink.dependence import GeneratorSpec
@@ -176,7 +176,7 @@ class TestOutputs:
 class TestConsistencyCurve:
     def test_two_sided_class_stays_below_twice_alpha(self):
         members = {
-            f"rho={rho}": TwoSidedWrap(EquicorrelatedNormal(30, 0, rho))
+            f"rho={rho}": EquicorrelatedNormal(30, 0, rho, sided="two")
             for rho in (-1.0 / 29, 0.0, 0.5)
         }
         rows = consistency_curve(members, (0.2, 0.1, 0.05), McConfig(6_000, 3))

@@ -23,7 +23,6 @@ from fdrlink import (
     McEstimate,
     PrdnGaussian,
     PValueStudy,
-    TwoSidedWrap,
     bh_step_down,
     bh_step_up,
     complete_study,

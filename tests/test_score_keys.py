@@ -9,7 +9,8 @@ import pytest
 from scipy.special import ndtri
 
 from fdrlink import (EquicorrelatedNormal, IidUniform, McConfig, McEstimate, PrdnGaussian,
-                     PValueStudy, TwoSidedWrap, estimate_fdp_moment, estimate_fdx, fdp_values)
+                     PValueStudy, estimate_fdp_moment, estimate_fdx, fdp_values)
+from fdrlink.dependence import TwoSidedWrap
 from fdrlink.mc import BLOCK_REPS, block_rng
 from fdrlink.procedures import step_count
 
@@ -54,7 +55,7 @@ def test_gaussian_cuts_claim_the_right_side(spec):
             assert np.all(spec.keys(raw) == keys) and np.all(spec.pvalues(raw) > t)
 
 
-@pytest.mark.parametrize("spec", [IidUniform(3), TwoSidedWrap(IidUniform(3))],
+@pytest.mark.parametrize("spec", [IidUniform(3), IidUniform(3, sided="two")],
                          ids=["uniform", "fold-of-uniform"])
 def test_exact_cuts_decide_every_key(spec):
     t = _thresholds()
@@ -140,7 +141,7 @@ _SPECS = {
     **DRAW_SPECS,
     "prdn-two-sided": PrdnGaussian(np.array([[1.0, 0.5], [0.5, 1.0]]), (0,),
                                    np.array([0.0, 1.5]), "two"),
-    "fold-of-uniform": TwoSidedWrap(IidUniform(6, 4)),
+    "fold-of-uniform": IidUniform(6, 4, "two"),
     "equi-wide": EquicorrelatedNormal(300, 500, 0.5),
 }
 
