@@ -15,7 +15,6 @@ from .procedures import (
     is_compliant,
     simes_pvalue,
     simes_rejects,
-    fdp_upper_bound,
     min_rejections_for,
 )
 from .bounds import (
@@ -46,6 +45,7 @@ from .adversaries import (
     most_anti_conservative,
     masked_zero_count,
     complete_study,
+    fdp_upper_bound,
 )
 from .dependence import (
     IidUniform,

@@ -24,19 +24,26 @@ arithmetic only on rows with float-tied candidates, ties to the largest rank.
 A one-pass float envelope ``(alpha / n) * j / p_(j)`` screens the columns, so
 ``c_j`` is worked out only where the row maximum can be. The worst-case
 limit constant in ``mc`` runs the same kernel on partial sums with ``n = 1``.
-Each adversary spec's ``plant`` returns its planted-zero count alone, one
-int64 per row; the scalar functions here are one-row calls.
+
+The informed, most-anti-conservative and Bonferroni-masked specs each define
+``anchor``, their ``(rank, ceiling)`` per row of sorted nulls, and share one
+``plant``. :func:`completed_fdp` is the row-wise FDP of completed studies,
+which the Monte Carlo engine takes, and :func:`fdp_upper_bound` the per-study
+FDP ceiling as an exact rational; the other functions are one-row calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from .procedures import threshold_ceil
-from .study import PValueStudy, RejectionOutcome, check_count, check_pvalues
+from .procedures import step_count, threshold_ceil
+from .study import PValueStudy, RejectionOutcome, check_count, check_open_unit, check_pvalues
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "InformedAdversary",
@@ -52,6 +59,8 @@ __all__ = [
     "most_anti_conservative",
     "masked_zero_count",
     "complete_study",
+    "completed_fdp",
+    "fdp_upper_bound",
     "MASKED_STRATEGIES",
 ]
 
@@ -117,43 +126,38 @@ def anchor_choice(nulls_sorted: np.ndarray, n: int, alpha: float,
     return rank_out, ceil_out
 
 
-@dataclass(frozen=True)
-class InformedAdversary:
-    """Sees all null p-values; plants zeros to reach the FDP ceiling.
-
-    Under step-up, with ``(rank, ceiling)`` from :func:`anchor_choice`, the
-    FDP of the completed study is the anchor ratio ``rank / max(ceiling,
-    rank)`` whenever the ``ceiling - rank`` zeros fit in `n1`; the Monte
-    Carlo engine takes it so and plants and counts only the rows whose zero
-    count clips to `n1`.
-    """
+class _Anchored:
+    """An adversary whose ``anchor`` picks an int64 ``(rank, ceiling)`` per row
+    of ascending nulls and which plants the zeros that anchor calls for."""
 
     def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> np.ndarray:
         """Zero count (int64) per row of a ``(rows, n0)`` matrix of ascending
-        nulls."""
-        rank, ceiling = anchor_choice(nulls_sorted, n, alpha)
+        nulls: ``ceiling - rank`` clipped to ``[0, n1]``."""
+        rank, ceiling = self.anchor(nulls_sorted, n1, n, alpha)
         return np.clip(ceiling - rank, 0, n1)
 
 
 @dataclass(frozen=True)
-class MostAntiConservativeAdversary:
-    """Plants exactly the zeros the most anti-conservative outcome rejects.
+class InformedAdversary(_Anchored):
+    """Sees all null p-values; plants zeros to reach the FDP ceiling."""
 
-    Its zeros never clip, so under step-up the FDP of the completed study is
-    always the anchor ratio ``rank / max(ceiling, rank, 1)`` of the
-    `n1`-restricted :func:`anchor_choice` (0 where no rank is feasible), the
-    most anti-conservative procedure's FDP; the Monte Carlo engine takes it
-    so, without planting or counting.
-    """
-
-    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> np.ndarray:
-        rank, ceiling = anchor_choice(nulls_sorted, n, alpha, n1)
-        return np.maximum(ceiling - rank, 0)
+    def anchor(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> tuple:
+        return anchor_choice(nulls_sorted, n, alpha)
 
 
 @dataclass(frozen=True)
-class BonferroniMaskedAdversary:
-    """Sees all sorted null p-values except the smallest: ``plant`` never
+class MostAntiConservativeAdversary(_Anchored):
+    """Plants exactly the zeros the most anti-conservative outcome rejects:
+    its anchor takes only ranks whose zeros fit in `n1`, so they never clip,
+    and its step-up FDP is that outcome's."""
+
+    def anchor(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> tuple:
+        return anchor_choice(nulls_sorted, n, alpha, n1)
+
+
+@dataclass(frozen=True)
+class BonferroniMaskedAdversary(_Anchored):
+    """Sees all sorted null p-values except the smallest: ``anchor`` never
     reads column 0."""
 
     strategy: str = "shifted_argmax"
@@ -165,15 +169,13 @@ class BonferroniMaskedAdversary:
                 f"choose from {MASKED_STRATEGIES}"
             )
 
-    def plant(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> np.ndarray:
+    def anchor(self, nulls_sorted: np.ndarray, n1: int, n: int, alpha: float) -> tuple:
         if nulls_sorted.shape[1] < 2:
             raise ValueError("masked construction needs at least two nulls")
         upper = nulls_sorted[:, 1:]
         if self.strategy == "plug_in_second":
-            rank, ceiling = anchor_choice(np.concatenate([upper[:, :1], upper], axis=1), n, alpha)
-        else:
-            rank, ceiling = anchor_choice(upper, n, alpha, first_rank=2)
-        return np.clip(ceiling - rank, 0, n1)
+            return anchor_choice(np.concatenate([upper[:, :1], upper], axis=1), n, alpha)
+        return anchor_choice(upper, n, alpha, first_rank=2)
 
 
 @dataclass(frozen=True)
@@ -224,11 +226,6 @@ def _one_row(null_pvalues, n: int) -> np.ndarray:
     return row[None]
 
 
-def _plant_one(adversary: AdversarySpec, arr: np.ndarray, n1: int, n: int, alpha: float) -> int:
-    """One study's zero count."""
-    return int(adversary.plant(np.sort(arr)[None], n1, n, alpha)[0])
-
-
 def max_fdp_rank(null_pvalues, n: int, alpha: float) -> int:
     """Sorted-null rank maximizing ``j / ceil(n * p_(j) / alpha)``.
 
@@ -263,8 +260,9 @@ def most_anti_conservative(null_pvalues, n1: int, n: int, alpha: float) -> Rejec
     completion place at least the required zeros right after the nulls).
     """
     arr = _checked_split(null_pvalues, n1, n)
-    ranks, ceilings = anchor_choice(np.sort(arr)[None], n, alpha, n1)
-    rank, zeros = int(ranks[0]), max(int(ceilings[0] - ranks[0]), 0)
+    adversary, row = MostAntiConservativeAdversary(), np.sort(arr)[None]
+    rank = int(adversary.anchor(row, n1, n, alpha)[0][0])
+    zeros = int(adversary.plant(row, n1, n, alpha)[0])
     rejected = [*np.argsort(arr, kind="stable")[:rank], *range(arr.size, arr.size + zeros)]
     return RejectionOutcome(rejected, n_false=rank)
 
@@ -290,13 +288,60 @@ def masked_zero_count(upper_sorted_nulls, n: int, n1: int, alpha: float,
     check_count("n1", n1, 0)
     check_count("n", n, arr.size + 1)  # the withheld null counts too
     # The stand-in smallest null is never read.
-    return _plant_one(adversary, np.concatenate([arr[:1], arr]), n1, n, alpha)
+    return int(adversary.plant(np.concatenate([arr[:1], arr])[None], n1, n, alpha)[0])
 
 
 def complete_study(null_pvalues, n1: int, n: int, alpha: float,
                    adversary: AdversarySpec) -> CompletedStudy:
     """Apply an adversary description to the given nulls."""
     arr = _checked_split(null_pvalues, n1, n)
-    zeros = _plant_one(adversary, arr, n1, n, alpha)
+    zeros = int(adversary.plant(np.sort(arr)[None], n1, n, alpha)[0])
     pvalues = np.concatenate([arr, np.zeros(zeros), np.ones(n1 - zeros)])
     return CompletedStudy(PValueStudy(pvalues, np.arange(n) < arr.size), zeros)
+
+
+def completed_fdp(adversary: AdversarySpec, nulls_sorted: np.ndarray, n1: int, n: int,
+                  alpha: float, proc: str) -> np.ndarray:
+    """Row-wise FDP of `proc` (``"step_up"`` or ``"step_down"``) on the
+    studies `adversary` completes from a ``(rows, n0)`` matrix of ascending nulls.
+
+    Under step-up an anchored adversary's FDP is its anchor ratio ``rank /
+    max(ceiling, rank, 1)``, bit for bit the planted count's. With ``z =
+    ceiling - rank <= n1`` zeros, step-up rejects them and the V smallest
+    nulls, V the last rank j with ``c_j - j <= z``. The anchor rank passes (a
+    ``plug_in_second`` rank 1 too: the smallest null is at most its stand-in),
+    so V >= rank >= the anchor's first rank. Every anchor reads the nulls
+    unchanged past column 0, so for V >= 2 it weighed ``V / c_V``, feasible
+    under any `n1` restriction as ``c_V - V <= z``: ``rank / ceiling <= V /
+    (z + V) <= V / c_V <= rank / ceiling``. V = 1 forces rank = 1, equality.
+    With ``ceiling < rank`` no zero is planted and every rejection is a null's;
+    a ``(0, 0)`` anchor (no feasible rank) plants none and rejects nothing.
+    Rows whose zeros clip (``ceiling - rank > n1``) plant `n1` zeros and count,
+    as step-down and fixed zeros do.
+    """
+    if proc == "step_up" and isinstance(adversary, _Anchored):
+        rank, ceiling = adversary.anchor(nulls_sorted, n1, n, alpha)
+        fdp = rank / np.maximum(np.maximum(ceiling, rank), 1)
+        clipped = np.flatnonzero(ceiling - rank > n1)
+        fdp[clipped] = completed_fdp(FixedZerosAdversary(n1), nulls_sorted[clipped],
+                                     n1, n, alpha, proc)
+        return fdp
+    zeros = adversary.plant(nulls_sorted, n1, n, alpha)
+    r = step_count(nulls_sorted, n, alpha, proc, offset=zeros)
+    return (r - zeros) / np.maximum(r, 1)
+
+
+def fdp_upper_bound(null_pvalues: Sequence[float], n: int, alpha: float) -> Fraction:
+    """Ceiling on the false discovery proportion of any compliant outcome.
+
+    Returns ``min(max_j j / ceil(n * p_(j) / alpha), 1)`` over the sorted null
+    p-values, as an exact rational. A zero null p-value makes the bound 1:
+    rejecting it alone already realizes FDP = 1, matching the limit p -> 0+.
+    """
+    from fractions import Fraction
+
+    alpha = check_open_unit("alpha", alpha)
+    arr = check_pvalues(null_pvalues, "null p-values")
+    check_count("n", n, arr.size)  # n counts every null
+    rank, ceiling = anchor_choice(np.sort(arr)[None], n, alpha)
+    return min(Fraction(int(rank[0]), int(ceiling[0])), Fraction(1))

@@ -33,20 +33,19 @@ the adversaries, ``anchor_choice`` with ``n = 1``.
 
 Pipeline for FDR-type targets, row-wise over a chunk of replications. With
 an adversary: sample the rows of the null spec ``restrict_to_nulls(gen)``
-(the Simes curve pass draws them too), plant the zeros and run the step
-count on the sorted nulls with the zeros as a rank offset. Step-up against
-the informed or most-anti-conservative adversary skips both: its FDP is the
-anchor ratio ``rank / max(ceiling, rank)`` of ``anchor_choice`` (restricted
-to `n1` for the most-anti-conservative one, as for that procedure), and
-only informed rows whose zero count clips (``ceiling - rank > n1``) plant
-`n1` zeros and count. Without an adversary, the generator is its own
-p-value law: the sorted keys of its scores meet its cuts at
+(the Simes curve pass draws them too), sort them, and take the FDP of the
+completed studies from ``adversaries.completed_fdp``. Under step-up that is
+an anchored adversary's anchor ratio, with rows whose zeros clip planted and
+counted; otherwise the zeros are planted and ``step_count`` runs with them
+as a rank offset. The most anti-conservative procedure is step-up against
+the most-anti-conservative adversary. Without an adversary, the generator
+is its own p-value law: the sorted keys of its scores meet its cuts at
 ``alpha * j / n``, and the null keys the cut at R; a row with a key inside
 a cut's window takes the p-value path (its p-values, sorted, through
-``step_count``), so Gaussian rows take the normal CDF only there and every count
-is the p-values'.
-Rank, zero count, step rule and Simes value are the row-wise kernels of
-``adversaries`` and ``procedures``.
+``step_count``), so Gaussian rows take the normal CDF only there and every
+count is the p-values'.
+Rank, zero count, completed FDP, step rule and Simes value are the row-wise
+kernels of ``adversaries`` and ``procedures``.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from typing import Optional
 import numpy as np
 
 from .adversaries import (AdversarySpec, InformedAdversary, MostAntiConservativeAdversary,
-                          anchor_choice)
+                          anchor_choice, completed_fdp)
 from .bounds import EmpiricalCurve, fdr_link_bound
 from .dependence import GeneratorSpec, restrict_to_nulls, sample_rows, sample_scores
 from .procedures import simes_sorted, step_count, step_rule
@@ -237,29 +236,7 @@ class _FdpTask:
             return false / np.maximum(r, 1)
         nulls_sorted = sample_rows(self.nulls, rng, count)
         nulls_sorted.sort(axis=1)
-        n1 = self.gen.n1
-        informed = self.proc == "step_up" and isinstance(self.adv, InformedAdversary)
-        if informed:
-            rank, ceiling = anchor_choice(nulls_sorted, n, alpha)
-        elif self.proc == "most_anti_conservative" or (
-                self.proc == "step_up" and isinstance(self.adv, MostAntiConservativeAdversary)):
-            rank, ceiling = anchor_choice(nulls_sorted, n, alpha, n1)
-        else:
-            zeros = self.adv.plant(nulls_sorted, n1, n, alpha)
-            r = step_count(nulls_sorted, n, alpha, self.proc, offset=zeros)
-            return (r - zeros) / np.maximum(r, 1)
-        # With z = ceiling - rank <= n1 zeros planted, step-up rejects them and
-        # the V smallest nulls, V the last rank j with c_j - j <= z (so V >=
-        # rank and c_V <= z + V): rank / ceiling <= V / (z + V) <= V / c_V <=
-        # rank / ceiling, so its FDP is the anchor ratio. With ceiling < rank
-        # no zero is planted and every rejection is a null's.
-        fdp = rank / np.maximum(np.maximum(ceiling, rank), 1)
-        if informed:  # where plant clips the zero count to n1: plant n1, count
-            clipped = np.flatnonzero(ceiling - rank > n1)
-            if len(clipped):
-                r = step_count(nulls_sorted[clipped], n, alpha, "step_up", offset=n1)
-                fdp[clipped] = (r - n1) / np.maximum(r, 1)
-        return fdp
+        return completed_fdp(self.adv, nulls_sorted, self.gen.n1, n, alpha, self.proc)
 
 
 @dataclass(frozen=True)
@@ -357,6 +334,8 @@ def fdp_values(gen: GeneratorSpec, adv: Optional[AdversarySpec], proc: str,
     every FDP-type estimate is a reduction of this vector."""
     alpha = check_open_unit("alpha", alpha)
     check_procedure(proc, adv)
+    if proc == "most_anti_conservative":
+        adv, proc = MostAntiConservativeAdversary(), "step_up"
     nulls = None if adv is None else restrict_to_nulls(gen)
     cuts = gen.cuts(alpha * np.arange(gen.n + 1.0) / gen.n) if adv is None else None
     return _replication_values(_FdpTask(gen, adv, proc, alpha, nulls, cuts), cfg)

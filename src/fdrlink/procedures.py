@@ -1,6 +1,5 @@
-"""Step-up and step-down rejection procedures, compliance checking, the Simes
-combination p-value, and the per-study ceiling on the false discovery
-proportion.
+"""Step-up and step-down rejection procedures, compliance checking, and the
+Simes combination p-value.
 
 Numerical conventions
 ---------------------
@@ -19,14 +18,11 @@ Numerical conventions
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .study import PValueStudy, RejectionOutcome, check_count, check_open_unit, check_pvalues
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "bh_step_up",
@@ -37,7 +33,6 @@ __all__ = [
     "simes_pvalue",
     "simes_sorted",
     "simes_rejects",
-    "fdp_upper_bound",
     "min_rejections_for",
     "threshold_ceil",
 ]
@@ -144,20 +139,3 @@ def simes_rejects(null_pvalues: Sequence[float], x: float) -> bool:
     x = check_open_unit("level x", x)
     return simes_pvalue(null_pvalues) <= x
 
-
-def fdp_upper_bound(null_pvalues: Sequence[float], n: int, alpha: float) -> Fraction:
-    """Ceiling on the false discovery proportion of any compliant outcome.
-
-    Returns ``min(max_j j / ceil(n * p_(j) / alpha), 1)`` over the sorted null
-    p-values, as an exact rational. A zero null p-value makes the bound 1:
-    rejecting it alone already realizes FDP = 1, matching the limit p -> 0+.
-    """
-    from fractions import Fraction
-
-    from .adversaries import anchor_choice  # adversaries builds on this module
-
-    alpha = check_open_unit("alpha", alpha)
-    arr = check_pvalues(null_pvalues, "null p-values")
-    check_count("n", n, arr.size)  # n counts every null
-    rank, ceiling = anchor_choice(np.sort(arr)[None], n, alpha)
-    return min(Fraction(int(rank[0]), int(ceiling[0])), Fraction(1))

@@ -44,7 +44,7 @@ from fdrlink import (
     verify_linking,
 )
 import fdrlink.mc as mc
-from fdrlink.adversaries import anchor_choice
+from fdrlink.adversaries import MASKED_STRATEGIES, anchor_choice
 from fdrlink.mc import BLOCK_REPS, block_rng
 from fdrlink.procedures import step_count
 
@@ -401,11 +401,13 @@ _ANCHOR_SOURCES = {**DRAW_SPECS, "iid-clipping": IidUniform(30, 1), "crafted": N
 
 @pytest.mark.parametrize("source", _ANCHOR_SOURCES.keys())
 def test_step_up_fdp_is_the_anchor_ratio(source):
-    """Step-up FDPs against the informed and most-anti-conservative
-    adversaries, which the engine takes from the anchor ratio, equal
-    planting the zeros and counting, bit for bit, clipped rows included."""
+    """Step-up FDPs against every anchored adversary (informed,
+    most-anti-conservative, and both Bonferroni-masked strategies), which
+    the engine takes from the anchor ratio, equal planting the zeros and
+    counting, bit for bit, clipped rows included."""
     spec = _ANCHOR_SOURCES[source]
-    advs = (InformedAdversary(), MostAntiConservativeAdversary())
+    advs = (InformedAdversary(), MostAntiConservativeAdversary(),
+            *map(BonferroniMaskedAdversary, MASKED_STRATEGIES))
     rng = np.random.default_rng(11)
     clipped = 0
     for n1 in (0, 1, 3, 400):
