@@ -8,8 +8,9 @@ are consecutive in the generator's stream: the matrix equals ``rows``
 successive one-row draws, so splitting a draw into row chunks changes no
 value. Which coordinates are nulls is a fact of the spec, not of a draw:
 every spec has a ``null_mask`` and a draw is its matrix alone. A spec is
-also its own p-value law: ``pvalues`` maps the scores to p-values (``draw``
-is that map of ``scores``) as the level of their ``keys``, and ``keys`` and
+also its own p-value law: a p-value is the ``level`` of its key, so
+``pvalues(raw)`` is ``level(keys(raw))`` (``draw`` is that map of
+``scores``, its keys written over the fresh scores), and ``keys`` and
 ``cuts`` decide ``p <= t`` without it. Every spec has a field ``sided``;
 a two-sided spec is built with ``sided="two"``. A spec's
 ``nulls_only()`` is the spec of its null components alone; every null-only
@@ -159,21 +160,21 @@ def _erfc_tail(t: np.ndarray) -> np.ndarray:
     return y
 
 
-def _ndtr_into(a: np.ndarray, out: np.ndarray, sign: float, fold: bool) -> None:
-    """Cephes ``ndtr(sign * a)`` into `out`, or with `fold` ``2 * ndtr(-|a|)``.
+def _ndtr_into(a: np.ndarray, out: np.ndarray, fold: bool) -> None:
+    """Cephes ``ndtr(a)`` into `out`, or with `fold` ``2 * ndtr(-|a|)``.
 
-    With ``x = sign * a / sqrt(2)`` (exact for ``sign = +-1``), ``ndtr`` is
-    ``0.5 + 0.5 * erf(x)`` for ``|x| < 1``: Cephes' ``1 - erf`` branch of
-    erfc on ``[1/sqrt(2), 1)`` rounds to the same value. Beyond, it is
-    ``0.5 * erfc(|x|)``, taken from 1 where ``x > 0``. The central rational
-    runs on every value, its argument clipped to [-1, 1] (to [0, 1] for
-    the fold, which takes ``1 - erf(|x|)``), in `out` and two temporaries;
-    erfc's only on the tail."""
+    With ``x = a / sqrt(2)``, ``ndtr`` is ``0.5 + 0.5 * erf(x)`` for
+    ``|x| < 1``: Cephes' ``1 - erf`` branch of erfc on ``[1/sqrt(2), 1)``
+    rounds to the same value. Beyond, it is ``0.5 * erfc(|x|)``, taken from
+    1 where ``x > 0``. The central rational runs on every value, its
+    argument clipped to [-1, 1] (to [0, 1] for the fold, which takes
+    ``1 - erf(|x|)``), in `out` and two temporaries; erfc's only on the
+    tail. `out` must not overlap `a`."""
     if fold:
         w = np.abs(a)
         w *= _SQRT1_2
     else:
-        w = np.multiply(a, sign * _SQRT1_2)
+        w = np.multiply(a, _SQRT1_2)
         np.maximum(w, -1.0, out=w)
     np.minimum(w, 1.0, out=w)
     w2 = w * w
@@ -187,7 +188,7 @@ def _ndtr_into(a: np.ndarray, out: np.ndarray, sign: float, fold: bool) -> None:
         erf *= 0.5
         erf += 0.5
     if tail.size:
-        x = a[tail] * (sign * _SQRT1_2)
+        x = a[tail] * _SQRT1_2
         half = _erfc_tail(np.abs(x))
         half *= 0.5
         if fold:  # 2 * ndtr(-|a|), not erfc: halving rounds a subnormal erfc
@@ -200,11 +201,13 @@ def _ndtr_into(a: np.ndarray, out: np.ndarray, sign: float, fold: bool) -> None:
 def _ndtri_into(p: np.ndarray, out: np.ndarray) -> None:
     """Cephes ``ndtri`` into `out`: ``y = min(p, 1 - p)`` by its rule, the
     central rational in ``y - 1/2`` above exp(-2), the tails in
-    ``sqrt(-2 log y)`` below. Every branch runs on clipped arguments."""
+    ``sqrt(-2 log y)`` below (the near tail's rational below 8, the far
+    tail's from 8). Each branch runs only on the values it serves."""
     y = np.clip(p, 0.0, 1.0)
     flip = y > 1.0 - _EXP_M2
     np.subtract(1.0, y, out=y, where=flip)
-    c = y - 0.5
+    mid = y > _EXP_M2
+    c = y[mid] - 0.5
     c2 = c * c
     central = _horner(c2, _NDTRI_P0)
     central *= c2
@@ -212,16 +215,18 @@ def _ndtri_into(p: np.ndarray, out: np.ndarray) -> None:
     central *= c
     central += c
     central *= _SQRT_2PI
-    s = np.sqrt(-2.0 * np.log(np.clip(y, 5e-324, _EXP_M2)))
-    z = 1.0 / s
-    near = s < 8.0
-    shift = np.where(near, _horner(z, _NDTRI_P1), _horner(z, _NDTRI_P2))
-    shift *= z
-    shift /= np.where(near, _horner(z, _NDTRI_Q1, monic=True),
-                      _horner(z, _NDTRI_Q2, monic=True))
+    out[mid] = central
+    tail = np.flatnonzero(~mid)  # NaN takes the tail
+    s = np.sqrt(-2.0 * np.log(np.maximum(y[tail], 5e-324)))
     tails = s - np.log(s) / s
-    tails -= shift
-    out[:] = np.where(y > _EXP_M2, central, np.where(flip, tails, -tails))
+    for part, num, den in ((s < 8.0, _NDTRI_P1, _NDTRI_Q1), (s >= 8.0, _NDTRI_P2, _NDTRI_Q2)):
+        z = 1.0 / s[part]
+        shift = _horner(z, num)
+        shift *= z
+        shift /= _horner(z, den, monic=True)
+        tails[part] -= shift
+    np.negative(tails, out=tails, where=~flip[tail])
+    out[tail] = tails
     out[p == 0.0] = -np.inf
     out[p == 1.0] = np.inf
     out[(p < 0.0) | (p > 1.0)] = np.nan
@@ -229,7 +234,7 @@ def _ndtri_into(p: np.ndarray, out: np.ndarray) -> None:
 
 def normal_cdf(x):
     """Standard normal CDF (max absolute error <= 1e-12): Cephes ``ndtr``."""
-    return _by_sub_chunks(_ndtr_into, x, 1.0, False)
+    return _by_sub_chunks(_ndtr_into, x, False)
 
 
 def normal_quantile(p):
@@ -283,10 +288,13 @@ class _Spec:
     unless `uniform` says they are uniforms, its p-values are `sided`
     (two-sided: ``2 * Phi(-|z|)``, or the fold ``2 * min(u, 1 - u)``), and
     it defines `n1` or `n`; its nulls are the first `n0` coordinates unless
-    it defines `null_mask`. With ``(lo, hi) = cuts(t)``, keys at or below
-    `lo` pass ``p <= t`` and keys above `hi` fail it: uniforms key
-    themselves with exact cuts, z-scores key as ``-z`` against a widened
-    ``ndtri``, and two-sided keys fold the score against half the level."""
+    it defines `null_mask`. A p-value is the level of its key: uniforms key
+    themselves and z-scores key as ``-z``, two-sided keys fold the score,
+    and `level` maps a key to its p-value. `scores` must return a fresh
+    matrix: `draw` and the FDP pass write the keys over it. With
+    ``(lo, hi) = cuts(t)``, keys at or below `lo` pass ``p <= t`` and keys
+    above `hi` fail it: uniforms have exact cuts, z-scores a widened
+    ``ndtri``, and two-sided keys are cut at half the level."""
 
     uniform = False
 
@@ -304,18 +312,31 @@ class _Spec:
         return np.arange(self.n) < self.n0
 
     def pvalues(self, raw: np.ndarray) -> np.ndarray:
-        """The p-values of raw scores: the level of their keys (``Phi`` of a
-        z-score's key), doubled when two-sided. For z-scores the kernel takes
-        the key's negation and the doubling itself, bit for bit."""
-        if not self.uniform:
-            return _by_sub_chunks(_ndtr_into, raw, -1.0, self.sided == "two")
-        p = self.keys(raw)
-        return p if self.sided == "one" else 2.0 * p
+        """The p-values of raw scores: the level of their keys."""
+        return self.level(self.keys(raw))
 
-    def keys(self, raw: np.ndarray) -> np.ndarray:
+    def keys(self, raw: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The keys of raw scores: ``u`` or ``min(u, 1 - u)`` of uniforms,
+        ``-z`` or ``-|z|`` of z-scores. Written into `out` when given (it may
+        be `raw`); otherwise `raw` is left as it is."""
         if self.uniform:
-            return raw if self.sided == "one" else np.minimum(raw, 1.0 - raw)
-        return -raw if self.sided == "one" else -np.abs(raw)
+            if self.sided == "one" and out is None:
+                return raw
+            keys = raw if out is raw else np.positive(raw, out=out)
+            if self.sided == "two":  # min(u, 1 - u): 1 - u is the smaller above 1/2
+                np.subtract(1.0, keys, out=keys, where=keys > 0.5)
+            return keys
+        if self.sided == "one":
+            return np.negative(raw, out=out)
+        keys = np.abs(raw, out=out)
+        return np.negative(keys, out=keys)
+
+    def level(self, keys: np.ndarray) -> np.ndarray:
+        """The p-values of keys: a uniform key itself, a z-score key
+        ``Phi(key)``, doubled when two-sided (``2 * Phi(-|key|)``)."""
+        if not self.uniform:
+            return _by_sub_chunks(_ndtr_into, keys, self.sided == "two")
+        return keys if self.sided == "one" else 2.0 * keys
 
     def cuts(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q = t if self.sided == "one" else t / 2
@@ -325,8 +346,10 @@ class _Spec:
                 normal_quantile(np.minimum(q * (1.0 + _CUT_REL), 1.0)))
 
     def draw(self, rng: np.random.Generator, rows: int) -> np.ndarray:
-        """`rows` studies as a ``(rows, n)`` p-value matrix."""
-        return self.pvalues(self.scores(rng, rows))
+        """`rows` studies as a ``(rows, n)`` p-value matrix: the level of the
+        keys, which overwrite the fresh scores."""
+        raw = self.scores(rng, rows)
+        return self.level(self.keys(raw, out=raw))
 
     def nulls_only(self):
         """The generator of the null components alone: this spec with no

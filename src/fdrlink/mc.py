@@ -39,11 +39,13 @@ an anchored adversary's anchor ratio, with rows whose zeros clip planted and
 counted; otherwise the zeros are planted and ``step_count`` runs with them
 as a rank offset. The most anti-conservative procedure is step-up against
 the most-anti-conservative adversary. Without an adversary, the generator
-is its own p-value law: the sorted keys of its scores meet its cuts at
-``alpha * j / n``, and the null keys the cut at R; a row with a key inside
-a cut's window takes the p-value path (its p-values, sorted, through
-``step_count``), so Gaussian rows take the normal CDF only there and every
-count is the p-values'.
+is its own p-value law: the keys of its scores overwrite them, the null
+keys are copied out, and the keys, sorted in place, meet its cuts at
+``alpha * j / n``, and the null keys the cut at R. A row with a key inside
+a cut's window takes the p-value path: its p-values are the levels of its
+keys, sorted again and counted by ``step_count``, and its false count is
+the null keys' levels at R. Gaussian rows take the normal CDF only there,
+and every count is the p-values'.
 Rank, zero count, completed FDP, step rule and Simes value are the row-wise
 kernels of ``adversaries`` and ``procedures``.
 """
@@ -131,8 +133,10 @@ class McConfig:
     A run whose rows are wider than 256 values splits its blocks over at
     most `workers` thread lanes (None, the default: one per available CPU),
     at most one per block, with identical values; each lane adds about one
-    row chunk and its temporaries to the memory in flight. `workers=1` runs
-    in the calling thread.
+    row chunk and its temporaries to the memory in flight. A no-adversary
+    FDP chunk holds one float matrix, its scores (about 512 KB), which its
+    keys overwrite; beside it, a copy of its null keys and a few boolean
+    matrices an eighth of its size. `workers=1` runs in the calling thread.
 
     Memory grows with `reps`: an estimate holds every replication's value,
     8 bytes each, and reduces them through a Python list of about 32 bytes
@@ -214,25 +218,29 @@ class _FdpTask:
     def rows(self, rng: np.random.Generator, count: int) -> np.ndarray:
         n, alpha = self.gen.n, self.alpha
         if self.adv is None:
-            raw, mask = sample_scores(self.gen, rng, count), self.gen.null_mask
+            # One float matrix a chunk: the keys overwrite the fresh scores
+            # and are sorted in place once the null keys are copied out.
+            raw = sample_scores(self.gen, rng, count)
+            keys = self.gen.keys(raw, out=raw)
+            null_keys = keys[:, self.gen.null_mask]
+            keys.sort(axis=1)
             lo, hi = self.cuts
-            keys = self.gen.keys(raw)
-            ranked = np.sort(keys, axis=1)
-            ok = ranked <= lo[1:]
+            ok = keys <= lo[1:]
             r = step_rule(ok, self.proc)
-            null_keys = keys[:, mask]
             below = null_keys <= lo[r][:, None]
             false = np.count_nonzero(below, axis=1)
             # A key inside a window it is tested against (exact cuts, lo is hi,
-            # have none) sends its row through the p-values.
+            # have none) sends its row through the p-values: the levels of its
+            # keys, sorted again so the count does not rest on their order.
             redo = () if hi is lo else np.flatnonzero(
-                ((ranked <= hi[1:]) != ok).any(axis=1)
+                ((keys <= hi[1:]) != ok).any(axis=1)
                 | ((null_keys <= hi[r][:, None]) != below).any(axis=1))
             if len(redo):
-                p = self.gen.pvalues(raw[redo])
-                r[redo] = step_count(np.sort(p, axis=1), n, alpha, self.proc)
-                false[redo] = np.count_nonzero(p[:, mask] <= (alpha * r[redo] / n)[:, None],
-                                               axis=1)
+                p = self.gen.level(keys[redo])
+                p.sort(axis=1)
+                r[redo] = step_count(p, n, alpha, self.proc)
+                false[redo] = np.count_nonzero(
+                    self.gen.level(null_keys[redo]) <= (alpha * r[redo] / n)[:, None], axis=1)
             return false / np.maximum(r, 1)
         nulls_sorted = sample_rows(self.nulls, rng, count)
         nulls_sorted.sort(axis=1)

@@ -5,6 +5,7 @@ import concurrent.futures
 import math
 import multiprocessing.process
 import os
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -364,6 +365,28 @@ class TestFastPathConsistency:
                          "most_anti_conservative", 0.1, McConfig(2, 0))
         with pytest.raises(ValueError):
             estimate_fdr(IidUniform(5, 5), None, "nope", 0.1, McConfig(2, 0))
+
+
+@pytest.mark.parametrize("gen", [
+    EquicorrelatedNormal(100, 1000, 0.5),
+    EquicorrelatedNormal(100, 1000, 0.5, sided="two"),
+    IidUniform(100, 1000),
+], ids=["equi-one-sided", "equi-two-sided", "iid"])
+def test_a_no_adversary_row_chunk_holds_one_score_matrix(gen):
+    # The keys overwrite the scores and are sorted in place: beside the score
+    # matrix a chunk holds its null keys and a few boolean matrices.
+    alpha, rows = 0.05, mc._CHUNK_VALUES // gen.n
+    task = mc._FdpTask(gen, None, "step_up", alpha, None,
+                       gen.cuts(alpha * np.arange(gen.n + 1.0) / gen.n))
+    rng = block_rng(3, 0)
+    task.rows(rng, rows)  # warm-up
+    tracemalloc.start()
+    try:
+        task.rows(rng, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * rows * gen.n * 8
 
 
 @dataclass(frozen=True)

@@ -80,15 +80,16 @@ def test_a_fold_takes_one_sided_pvalues_only(build):
 
 @dataclass(frozen=True)
 class _FixedScores(EquicorrelatedNormal):
-    """Every draw returns the rows of `z` in turn; `mapped` records how many
-    rows the spec maps to p-values."""
+    """Every draw returns the rows of `z` in turn; `mapped` records the full
+    key rows the spec maps to their levels (p-values)."""
 
     z: tuple = ()
     mapped: list = field(default_factory=list, compare=False)
 
-    def pvalues(self, raw):
-        self.mapped.append(len(raw))
-        return super().pvalues(raw)
+    def level(self, keys):
+        if keys.shape[-1] == self.n:
+            self.mapped.extend(keys.tolist())
+        return super().level(keys)
 
     def scores(self, rng, rows):
         z = np.array(self.z)
@@ -117,7 +118,8 @@ def test_keys_inside_a_window_take_the_pvalue_path(sided, proc):
     z = np.concatenate([-keys, keys]) if sided == "two" else -keys
     spec = _FixedScores(7, 3, sided=sided, z=tuple(map(tuple, z)))
     values = fdp_values(spec, None, proc, alpha, McConfig(len(z), 4))
-    assert sum(spec.mapped) == len(z)  # every row went through the p-values
+    # Every row went through the p-values, as the levels of its sorted keys.
+    assert spec.mapped == np.sort(spec.keys(z), axis=1).tolist()
     p = spec.pvalues(z)
     mask = np.arange(n) < spec.n0
     assert values.tolist() == [float(step_fdp_oracle(PValueStudy(row, mask), alpha, proc))
